@@ -16,8 +16,8 @@ import numpy as np
 
 from peerkd.analysis import feature_similarity
 from peerkd.checkpoint import load_entries
-from peerkd.data import build_config, standardize
-from peerkd.trainer import _load_raw_data, build_plan, restore_plan, run_experiment
+from peerkd.data import build_config, load_splits, standardize
+from peerkd.trainer import build_plan, restore_plan, run_experiment
 
 
 def run_one(method, seed, args):
@@ -50,7 +50,7 @@ def run_one(method, seed, args):
         plan = build_plan(config)
         entries = load_entries(os.path.join(out_dir, "checkpoint_final.afdk"))
         restore_plan(plan, entries)
-        raw_train, raw_test = _load_raw_data(config)
+        _, raw_test = load_splits(config)
         test_ds = standardize(raw_test, entries["data/mean"], entries["data/std"])
         rep = feature_similarity(plan.nets[0], plan.nets[1], test_ds)
         cosine = rep.cosine

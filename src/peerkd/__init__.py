@@ -5,10 +5,10 @@ or more peers."""
 
 from .analysis import SimilarityReport, export_pgm, feature_similarity, grad_cam
 from .blocks import (Discriminator, IdentityTransfer, Network, TransferLayer,
-                     build_discriminator, build_network, build_transfer_layer,
-                     forward_network)
+                     build_discriminator, build_network, build_transfer_layer)
 from .data import (Dataset, RunConfig, batches, build_config, channel_stats,
-                   load_idx, parse_config_file, save_idx, standardize, synth_blobs)
+                   load_idx, load_splits, parse_config_file, save_idx, standardize,
+                   synth_blobs)
 from .losses import (SoftDistribution, cross_entropy, kl_mimicry, l1_alignment,
                      logit_loss, lsgan_d_loss, lsgan_g_loss, softened_kl_divergence,
                      softened_softmax)

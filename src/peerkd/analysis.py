@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import eval_mode
 from .data import Dataset
 from .errors import ContractError, DataError, UsageError
 from .tensor import Tensor, backward, mean_all, no_grad, take_rows
@@ -48,11 +49,8 @@ def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) ->
     """Average L1/L2/cosine between the two nets' features over a dataset."""
     if dataset.n == 0:
         raise DataError("cannot compute similarity on an empty dataset")
-    saved = [net_a.training, net_b.training]
-    net_a.eval()
-    net_b.eval()
     l1_sum = l2_sum = cos_sum = 0.0
-    with no_grad():
+    with eval_mode(net_a, net_b), no_grad():
         for i in range(0, dataset.n, batch_size):
             xt = Tensor(dataset.images[i:i + batch_size])
             fa = net_a.extract(xt).data.astype(np.float64)
@@ -67,7 +65,6 @@ def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) ->
             dots = (va * vb).sum(axis=1)
             cos = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
             cos_sum += float(np.clip(cos, -1.0, 1.0).sum())
-    net_a.training, net_b.training = saved
     n = dataset.n
     return SimilarityReport(l1=l1_sum / n, l2=l2_sum / n, cosine=cos_sum / n, count=n)
 
@@ -86,12 +83,9 @@ def grad_cam(net, image, target_class: int) -> Tensor:
     arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
-    was_training = net.training
-    net.eval()
-    feature, logit = net.forward(Tensor(arr))
-    score = mean_all(take_rows(logit, np.asarray([target_class])))
-    backward(score)
-    net.training = was_training
+    with eval_mode(net):
+        feature, logit = net.forward(Tensor(arr))
+        backward(mean_all(take_rows(logit, np.asarray([target_class]))))
     grads = feature.grad[0] if feature.grad is not None else np.zeros_like(feature.data[0])
     for p in net.params().values():
         p.grad = None

@@ -15,6 +15,9 @@ mixed pair exercises the channel-conversion path.
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -31,36 +34,94 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def _conv_init(rng, c_out, c_in, kh, kw, dtype):
-    fan_in = c_in * kh * kw
-    std = np.sqrt(2.0 / fan_in)
-    w = (rng.standard_normal((c_out, c_in, kh, kw)) * std).astype(dtype)
-    return Tensor(w, requires_grad=True), Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+class Module:
+    """Train/eval flag plus named parameters and buffers, in the shape of
+    ``torch.nn.Module``.
+
+    A module lists the attributes holding its own trainable tensors in
+    ``param_names`` and its own running-stat arrays in ``buffer_names``;
+    ``children`` yields its submodules by name. ``params()`` and
+    ``buffers()`` give the module's own entries first, then each child's
+    under ``<child name>.``. Layers take the mode as a call argument, so
+    ``train``/``eval`` only flip this module's flag.
+    """
+
+    training = True
+    param_names = ()
+    buffer_names = ()
+
+    def train(self):
+        self.training = True
+        return self
+
+    def eval(self):
+        self.training = False
+        return self
+
+    def children(self):
+        return ()
+
+    def _named(self, names_attr, prefix, out):
+        for name in getattr(self, names_attr):
+            out[prefix + name] = getattr(self, name)
+        for child_name, child in self.children():
+            child._named(names_attr, f"{prefix}{child_name}.", out)
+        return out
+
+    def params(self):
+        return self._named("param_names", "", {})
+
+    def buffers(self):
+        return self._named("buffer_names", "", {})
 
 
-def _linear_init(rng, f_out, f_in, dtype):
-    std = np.sqrt(2.0 / f_in)
-    w = (rng.standard_normal((f_out, f_in)) * std).astype(dtype)
-    return Tensor(w, requires_grad=True), Tensor(np.zeros(f_out, dtype=dtype), requires_grad=True)
+@contextlib.contextmanager
+def eval_mode(*modules):
+    """Put ``modules`` in eval mode inside the block and restore each one's
+    mode on the way out, also when the block raises."""
+    saved = [m.training for m in modules]
+    for m in modules:
+        m.eval()
+    try:
+        yield
+    finally:
+        for m, mode in zip(modules, saved):
+            m.training = mode
 
 
-class _Conv:
+def _he_init(rng, shape, dtype):
+    """He-normal weight of ``shape`` (fan-in over all but the first axis) and a zero bias."""
+    std = np.sqrt(2.0 / math.prod(shape[1:]))
+    w = (rng.standard_normal(shape) * std).astype(dtype)
+    return Tensor(w, requires_grad=True), Tensor(np.zeros(shape[0], dtype=dtype), requires_grad=True)
+
+
+class _Conv(Module):
+    param_names = ("weight", "bias")
+
     def __init__(self, rng, c_in, c_out, k, stride, dtype):
-        self.weight, self.bias = _conv_init(rng, c_out, c_in, k, k, dtype)
+        self.weight, self.bias = _he_init(rng, (c_out, c_in, k, k), dtype)
         self.stride = stride
         self.padding = k // 2
 
     def __call__(self, x, training):
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def params(self, prefix):
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
-    def buffers(self, prefix):
-        return {}
+class _Linear(Module):
+    param_names = ("weight", "bias")
+
+    def __init__(self, rng, f_in, f_out, dtype):
+        self.weight, self.bias = _he_init(rng, (f_out, f_in), dtype)
+
+    def __call__(self, x, training):
+        return T.linear(x, self.weight, self.bias)
 
 
-class _BatchNorm:
+class _BatchNorm(Module):
+    param_names = ("gamma", "beta")
+    buffer_names = ("running_mean", "running_var")
+
     def __init__(self, channels, dtype):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
@@ -71,48 +132,24 @@ class _BatchNorm:
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                             training, momentum=BN_MOMENTUM, eps=BN_EPS)
 
-    def params(self, prefix):
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
-    def buffers(self, prefix):
-        return {f"{prefix}.running_mean": self.running_mean,
-                f"{prefix}.running_var": self.running_var}
-
-
-class _Activation:
-    def __init__(self, kind, slope=0.0):
-        self.kind = kind
-        self.slope = slope
-
+class _ReLU(Module):
     def __call__(self, x, training):
-        return T.pointwise_activation(self.kind, x, self.slope)
-
-    def params(self, prefix):
-        return {}
-
-    def buffers(self, prefix):
-        return {}
+        return T.relu(x)
 
 
-class _Pool:
+class _Pool(Module):
     def __init__(self, k):
         self.k = k
 
     def __call__(self, x, training):
         return T.avg_pool2d(x, self.k)
 
-    def params(self, prefix):
-        return {}
 
-    def buffers(self, prefix):
-        return {}
-
-
-def _parse_block_spec(spec: str, in_channels: int):
-    """Yield (layer-factory args) and track the running channel count."""
+def _build_extractor(spec: str, in_channels: int, rng, dtype):
+    """The layers of a block spec, and the channel count after the last one."""
     layers = []
     channels = in_channels
-    saw_conv = False
     for token in spec.split("-"):
         parts = token.split(":")
         kind = parts[0]
@@ -121,23 +158,22 @@ def _parse_block_spec(spec: str, in_channels: int):
         try:
             if kind == "conv":
                 _, c, k, s = parts
-                layers.append(("conv", channels, int(c), int(k), int(s)))
+                layers.append(_Conv(rng, channels, int(c), int(k), int(s), dtype))
                 channels = int(c)
-                saw_conv = True
             elif kind == "bn":
-                layers.append(("bn", channels))
+                layers.append(_BatchNorm(channels, dtype))
             elif kind == "relu":
-                layers.append(("relu",))
+                layers.append(_ReLU())
             else:
-                layers.append(("pool", int(parts[1])))
+                layers.append(_Pool(int(parts[1])))
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"malformed block token {token!r}") from exc
-    if not saw_conv:
+    if not any(isinstance(layer, _Conv) for layer in layers):
         raise ConfigError("block spec contains no convolution")
     return layers, channels
 
 
-class Network:
+class Network(Module):
     """Feature extractor plus classifier head.
 
     ``forward`` returns the last-stage feature map and the logits from a
@@ -145,33 +181,29 @@ class Network:
     verify how often each training scheme re-runs inference.
     """
 
-    def __init__(self, arch_id, extractor, feature_channels, head_weight, head_bias,
-                 num_classes):
+    def __init__(self, arch_id, extractor, feature_channels, head, num_classes):
         self.arch_id = arch_id
         self.extractor = extractor
         self.feature_channels = feature_channels
-        self.head_weight = head_weight
-        self.head_bias = head_bias
+        self.head = head
         self.num_classes = num_classes
-        self.training = True
         self.forward_count = 0
 
-    def train(self):
-        self.training = True
-        return self
+    @property
+    def head_weight(self):
+        return self.head.weight
 
-    def eval(self):
-        self.training = False
-        return self
+    @property
+    def head_bias(self):
+        return self.head.bias
+
+    def children(self):
+        return [(f"ext{i}", layer) for i, layer in enumerate(self.extractor)] + [("head", self.head)]
 
     def forward(self, x: Tensor):
         self.forward_count += 1
-        h = x
-        for layer in self.extractor:
-            h = layer(h, self.training)
-        feature = h
-        logit = T.linear(T.global_avg_pool(feature), self.head_weight, self.head_bias)
-        return feature, logit
+        feature = self.extract(x)
+        return feature, self.head(T.global_avg_pool(feature), self.training)
 
     def extract(self, x: Tensor) -> Tensor:
         """Feature map only (does not count as a scored forward)."""
@@ -180,58 +212,25 @@ class Network:
             h = layer(h, self.training)
         return h
 
-    def params(self):
-        out = {}
-        for i, layer in enumerate(self.extractor):
-            out.update(layer.params(f"ext{i}"))
-        out["head.weight"] = self.head_weight
-        out["head.bias"] = self.head_bias
-        return out
-
     def extractor_params(self):
-        out = {}
-        for i, layer in enumerate(self.extractor):
-            out.update(layer.params(f"ext{i}"))
-        return out
+        return {name: p for name, p in self.params().items() if name.startswith("ext")}
 
     def head_params(self):
-        return {"head.weight": self.head_weight, "head.bias": self.head_bias}
-
-    def buffers(self):
-        out = {}
-        for i, layer in enumerate(self.extractor):
-            out.update(layer.buffers(f"ext{i}"))
-        return out
+        return {name: p for name, p in self.params().items() if name.startswith("head.")}
 
 
 def build_network(arch_spec: str, num_classes: int, seed: int,
                   in_channels: int = 1, dtype=np.float32) -> Network:
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-    spec = PRESETS.get(arch_spec, arch_spec)
-    layer_specs, feature_channels = _parse_block_spec(spec, in_channels)
     rng = np.random.default_rng(seed)
-    extractor = []
-    for ls in layer_specs:
-        if ls[0] == "conv":
-            _, c_in, c_out, k, s = ls
-            extractor.append(_Conv(rng, c_in, c_out, k, s, dtype))
-        elif ls[0] == "bn":
-            extractor.append(_BatchNorm(ls[1], dtype))
-        elif ls[0] == "relu":
-            extractor.append(_Activation("relu"))
-        else:
-            extractor.append(_Pool(ls[1]))
-    head_w, head_b = _linear_init(rng, num_classes, feature_channels, dtype)
-    return Network(arch_spec, extractor, feature_channels, head_w, head_b, num_classes)
+    extractor, feature_channels = _build_extractor(PRESETS.get(arch_spec, arch_spec),
+                                                   in_channels, rng, dtype)
+    head = _Linear(rng, feature_channels, num_classes, dtype)
+    return Network(arch_spec, extractor, feature_channels, head, num_classes)
 
 
-def forward_network(net: Network, x: Tensor):
-    """One pass through ``net``: (last-conv feature map, logits)."""
-    return net.forward(x)
-
-
-class Discriminator:
+class Discriminator(Module):
     """Feature-map scorer: Conv(s2) -> BN -> LeakyReLU -> Conv(s2) -> GAP -> Sigmoid.
 
     The second convolution maps to a single channel, so global average
@@ -242,15 +241,9 @@ class Discriminator:
         self.conv1 = conv1
         self.bn = bn
         self.conv2 = conv2
-        self.training = True
 
-    def train(self):
-        self.training = True
-        return self
-
-    def eval(self):
-        self.training = False
-        return self
+    def children(self):
+        return [("conv1", self.conv1), ("bn", self.bn), ("conv2", self.conv2)]
 
     def forward(self, feature: Tensor) -> Tensor:
         if feature.ndim != 4:
@@ -266,16 +259,6 @@ class Discriminator:
         score = T.sigmoid(T.reshape(T.global_avg_pool(h), (feature.shape[0],)))
         return score
 
-    def params(self):
-        out = {}
-        out.update(self.conv1.params("conv1"))
-        out.update(self.bn.params("bn"))
-        out.update(self.conv2.params("conv2"))
-        return out
-
-    def buffers(self):
-        return self.bn.buffers("bn")
-
 
 def build_discriminator(in_channels: int, base_width: int, seed: int,
                         dtype=np.float32) -> Discriminator:
@@ -288,54 +271,27 @@ def build_discriminator(in_channels: int, base_width: int, seed: int,
     return Discriminator(conv1, bn, conv2)
 
 
-class TransferLayer:
+class TransferLayer(Module):
     """1x1 conv -> BN -> ReLU channel adapter; preserves spatial extent."""
 
     def __init__(self, conv, bn):
         self.conv = conv
         self.bn = bn
-        self.training = True
 
-    def train(self):
-        self.training = True
-        return self
-
-    def eval(self):
-        self.training = False
-        return self
+    def children(self):
+        return [("conv", self.conv), ("bn", self.bn)]
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.conv(x, self.training)
         h = self.bn(h, self.training)
         return T.relu(h)
 
-    def params(self):
-        out = {}
-        out.update(self.conv.params("conv"))
-        out.update(self.bn.params("bn"))
-        return out
 
-    def buffers(self):
-        return self.bn.buffers("bn")
-
-
-class IdentityTransfer:
+class IdentityTransfer(Module):
     """Stands in for a transfer layer when endpoint channel counts agree."""
-
-    def train(self):
-        return self
-
-    def eval(self):
-        return self
 
     def forward(self, x: Tensor) -> Tensor:
         return x
-
-    def params(self):
-        return {}
-
-    def buffers(self):
-        return {}
 
 
 def build_transfer_layer(c_in: int, c_out: int, seed: int, dtype=np.float32):

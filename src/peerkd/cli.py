@@ -11,15 +11,12 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from .analysis import export_pgm, feature_similarity, grad_cam
 from .checkpoint import load_entries
-from .data import (RunConfig, build_config, parse_config_file, save_idx,
-                   standardize, synth_blobs)
+from .data import (RunConfig, build_config, load_splits, parse_config_file,
+                   save_idx, standardize, synth_blobs)
 from .errors import PeerKDError
-from .trainer import (_load_raw_data, build_plan, evaluate, restore_plan,
-                      run_experiment)
+from .trainer import build_plan, evaluate, restore_plan, run_experiment
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
@@ -46,9 +43,8 @@ def _restored_plan(args):
     plan = build_plan(config)
     entries = load_entries(args.checkpoint)
     restore_plan(plan, entries)
-    raw_train, raw_test = _load_raw_data(config)
-    mean, std = entries["data/mean"], entries["data/std"]
-    return config, plan, standardize(raw_train, mean, std), standardize(raw_test, mean, std)
+    _, raw_test = load_splits(config)
+    return config, plan, standardize(raw_test, entries["data/mean"], entries["data/std"])
 
 
 def _cmd_train(args):
@@ -66,7 +62,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    config, plan, _, test_ds = _restored_plan(args)
+    config, plan, test_ds = _restored_plan(args)
     per_net, ens = evaluate(plan.nets, test_ds, config.batch_size)
     for k, acc in enumerate(per_net):
         print(f"net{k} top1 {acc:.4f}")
@@ -75,7 +71,7 @@ def _cmd_eval(args):
 
 
 def _cmd_analyze(args):
-    config, plan, _, test_ds = _restored_plan(args)
+    config, plan, test_ds = _restored_plan(args)
     print("method,pair,l1,l2,cosine,n")
     for i in range(len(plan.nets)):
         for j in range(i + 1, len(plan.nets)):
@@ -86,7 +82,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_gradcam(args):
-    config, plan, _, test_ds = _restored_plan(args)
+    config, plan, test_ds = _restored_plan(args)
     net = plan.nets[args.net]
     image = test_ds.images[args.index]
     target = args.target_class

@@ -317,16 +317,15 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     return cfg.validate()
 
 
-def prepare_data(config: RunConfig):
-    """(train, test, mean, std): raw data standardized by train-split stats."""
+def load_splits(config: RunConfig):
+    """(train, test) raw datasets named by ``config``: IDX files or synthetic blobs."""
     if config.data_source == "idx":
         train = load_idx(config.train_images, config.train_labels)
         test = load_idx(config.test_images, config.test_labels)
         train.split, test.split = "train", "test"
-    else:
-        train = synth_blobs(config.num_classes, config.per_class_train, config.image_size,
-                            config.noise_std, config.data_seed, "train")
-        test = synth_blobs(config.num_classes, config.per_class_test, config.image_size,
-                           config.noise_std, config.data_seed + 1, "test")
-    mean, std = channel_stats(train)
-    return standardize(train, mean, std), standardize(test, mean, std), mean, std
+        return train, test
+    train = synth_blobs(config.num_classes, config.per_class_train, config.image_size,
+                        config.noise_std, config.data_seed, "train")
+    test = synth_blobs(config.num_classes, config.per_class_test, config.image_size,
+                       config.noise_std, config.data_seed + 1, "test")
+    return train, test

@@ -24,15 +24,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses as L
-from .blocks import build_discriminator, build_network, build_transfer_layer
+from .blocks import build_discriminator, build_network, build_transfer_layer, eval_mode
 from .checkpoint import load_entries, save_entries
-from .data import (Dataset, RunConfig, batches, channel_stats, load_idx,
-                   sequential_batches, standardize, synth_blobs)
-from .errors import ConfigError, DataError, NonFiniteError
+from .data import (Dataset, RunConfig, batches, channel_stats, load_splits,
+                   sequential_batches, standardize)
+from .errors import ConfigError, DataError, FormatError, NonFiniteError
 from .optim import Adam, SGDMomentum, lr_at
 from .tensor import Tensor, backward, no_grad
 
 CSV_HEADER = "epoch,net_id,split,loss_ce,loss_kl,loss_g,loss_d,top1,ens_top1,lr_logit,lr_adv"
+
+# Logit-loss terms per method: mimicry target (none, each incoming peer, or
+# the mean softened distribution of all nets) and L1 feature alignment
+# through the incoming edges' transfer layers. All but dml share one
+# synchronous step (``afd_logit_phase``); dml steps each net in turn.
+LOGIT_TERMS = {
+    "afd": ("peer", False),
+    "dml": ("peer", False),
+    "vanilla": (None, False),
+    "kd_ensemble": ("ensemble", False),
+    "l1": (None, True),
+    "l1_kd": ("peer", True),
+    "l1_kd_offline": ("peer", True),
+}
 
 
 def _child_seed(seed, *tags):
@@ -59,9 +73,6 @@ class DistillPlan:
     discriminators: dict  # edge index -> Discriminator
     transfer_layers: dict  # edge index -> TransferLayer | IdentityTransfer
     temperature: float
-    epochs: int
-    batch_size: int
-    seed: int
     logit_opt: SGDMomentum
     adv_opt: Adam | None
     config: RunConfig
@@ -70,11 +81,22 @@ class DistillPlan:
     gen_param_names: dict = field(default_factory=dict)
 
     def incoming(self, k: int):
-        return [src for src, dst in self.edges if dst == k]
+        """(edge index, source net) for each edge into net ``k``."""
+        return [(e, src) for e, (src, dst) in enumerate(self.edges) if dst == k]
+
+    def modules(self):
+        """(entry prefix, module) for nets, then discriminators, then transfer layers."""
+        yield from ((f"net{i}", net) for i, net in enumerate(self.nets))
+        yield from ((f"disc{e}", d) for e, d in self.discriminators.items())
+        yield from ((f"transfer{e}", t) for e, t in self.transfer_layers.items())
 
 
 def _prefixed(prefix, params):
     return {f"{prefix}/{name}": p for name, p in params.items()}
+
+
+def _unprefixed(prefix, entries):
+    return {name[len(prefix):]: arr for name, arr in entries.items() if name.startswith(prefix)}
 
 
 def build_plan(config: RunConfig) -> DistillPlan:
@@ -89,11 +111,12 @@ def build_plan(config: RunConfig) -> DistillPlan:
     if config.method == "l1_kd_offline":
         frozen.add(1)
         teacher_entries = load_entries(config.teacher_checkpoint)
-        _load_net_entries(nets[1], teacher_entries, "net0/")
+        _load_module_entries(nets[1], teacher_entries, "net0/")
         nets[1].eval()
 
     adversarial = config.method == "afd" and config.adversarial
-    needs_transfer = adversarial or config.method in ("l1", "l1_kd", "l1_kd_offline")
+    aligns = LOGIT_TERMS[config.method][1]
+    needs_transfer = adversarial or aligns
     discriminators, transfer_layers = {}, {}
     for e, (src, dst) in enumerate(edges):
         if adversarial:
@@ -109,7 +132,7 @@ def build_plan(config: RunConfig) -> DistillPlan:
         if i in frozen:
             continue
         logit_params.update(_prefixed(f"net{i}", net.params()))
-    if config.method in ("l1", "l1_kd", "l1_kd_offline"):
+    if aligns:
         # alignment-path adapters train with the task loss
         for e, tr in transfer_layers.items():
             if edges[e][1] not in frozen:
@@ -123,21 +146,20 @@ def build_plan(config: RunConfig) -> DistillPlan:
         adv_params = {}
         for i, net in enumerate(nets):
             adv_params.update(_prefixed(f"net{i}", net.extractor_params()))
-        for e in range(len(edges)):
-            adv_params.update(_prefixed(f"disc{e}", discriminators[e].params()))
-            adv_params.update(_prefixed(f"transfer{e}", transfer_layers[e].params()))
-        adv_opt = Adam(adv_params, config.lr_adv, weight_decay=config.weight_decay_adv)
         for e, (src, dst) in enumerate(edges):
-            disc_param_names[e] = list(_prefixed(f"disc{e}", discriminators[e].params()))
+            disc = _prefixed(f"disc{e}", discriminators[e].params())
+            transfer = _prefixed(f"transfer{e}", transfer_layers[e].params())
+            adv_params.update({**disc, **transfer})
+            disc_param_names[e] = list(disc)
             gen_param_names[e] = (list(_prefixed(f"net{dst}", nets[dst].extractor_params()))
-                                  + list(_prefixed(f"transfer{e}", transfer_layers[e].params())))
+                                  + list(transfer))
+        adv_opt = Adam(adv_params, config.lr_adv, weight_decay=config.weight_decay_adv)
 
     return DistillPlan(
         method=config.method, nets=nets, edges=edges,
         discriminators=discriminators, transfer_layers=transfer_layers,
-        temperature=config.temperature, epochs=config.epochs,
-        batch_size=config.batch_size, seed=config.seed,
-        logit_opt=logit_opt, adv_opt=adv_opt, config=config, frozen=frozen,
+        temperature=config.temperature, logit_opt=logit_opt, adv_opt=adv_opt,
+        config=config, frozen=frozen,
         disc_param_names=disc_param_names, gen_param_names=gen_param_names,
     )
 
@@ -171,10 +193,7 @@ def forward_all(plan: DistillPlan, x: np.ndarray):
     xt = Tensor(x)
     feats, logits = [], []
     for i, net in enumerate(plan.nets):
-        if i in plan.frozen:
-            with no_grad():
-                f, z = net.forward(xt)
-        else:
+        with no_grad() if i in plan.frozen else contextlib.nullcontext():
             f, z = net.forward(xt)
         feats.append(f)
         logits.append(z)
@@ -191,7 +210,11 @@ def _mean_losses(terms):
 
 
 def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
-    """Phase A: cross-entropy + incoming-edge mimicry, synchronous SGD step."""
+    """Phase A: per trainable net, cross-entropy plus the method's mimicry and
+    alignment terms (``LOGIT_TERMS``); one synchronous SGD step."""
+    mimicry, align = LOGIT_TERMS[plan.method]
+    if mimicry == "ensemble":
+        target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
     plan.logit_opt.zero_grad()
     records = []
     for k in range(len(plan.nets)):
@@ -202,11 +225,19 @@ def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
         rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
                          top1=_batch_top1(logits[k], y))
         loss = ce
-        if incoming:
+        kl = None
+        if mimicry == "ensemble":
+            kl = L.kl_probs_mimicry(target, logits[k], plan.temperature)
+        elif mimicry == "peer" and incoming:
             kl = _mean_losses([L.kl_mimicry(logits[src], logits[k], plan.temperature)
-                               for src in incoming])
+                               for _, src in incoming])
+        if kl is not None:
             rec.loss_kl = _finite(kl.item(), f"loss_kl[net{k}]")
             loss = loss + kl
+        if align and incoming:
+            loss = loss + _mean_losses([
+                L.l1_alignment(plan.transfer_layers[e].forward(feats[k]), feats[src])
+                for e, src in incoming])
         backward(loss)
         records.append(rec)
     plan.logit_opt.step()
@@ -266,7 +297,7 @@ def _dml_step(plan, x, y):
             _, own_logits = plan.nets[k].forward(xt)  # fresh pass after peers moved
         ce = L.cross_entropy(y, own_logits)
         kl = _mean_losses([L.kl_mimicry(logits[src], own_logits, plan.temperature)
-                           for src in plan.incoming(k)])
+                           for _, src in plan.incoming(k)])
         rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
                          loss_kl=_finite(kl.item(), f"loss_kl[net{k}]"),
                          top1=_batch_top1(own_logits, y))
@@ -277,77 +308,13 @@ def _dml_step(plan, x, y):
     return records
 
 
-def _kd_ensemble_step(plan, x, y):
-    feats, logits = forward_all(plan, x)
-    target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
-    plan.logit_opt.zero_grad()
-    records = []
-    for k, z in enumerate(logits):
-        ce = L.cross_entropy(y, z)
-        kl = L.kl_probs_mimicry(target, z, plan.temperature)
-        records.append(StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
-                                  loss_kl=_finite(kl.item(), f"loss_kl[net{k}]"),
-                                  top1=_batch_top1(z, y)))
-        backward(ce + kl)
-    plan.logit_opt.step()
-    return records
-
-
-def _l1_step(plan, x, y, with_kd):
-    feats, logits = forward_all(plan, x)
-    plan.logit_opt.zero_grad()
-    records = []
-    for k in range(len(plan.nets)):
-        if k in plan.frozen:
-            continue
-        ce = L.cross_entropy(y, logits[k])
-        rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
-                         top1=_batch_top1(logits[k], y))
-        loss = ce
-        incoming = plan.incoming(k)
-        if incoming:
-            if with_kd:
-                kl = _mean_losses([L.kl_mimicry(logits[src], logits[k], plan.temperature)
-                                   for src in incoming])
-                rec.loss_kl = _finite(kl.item(), f"loss_kl[net{k}]")
-                loss = loss + kl
-            align_terms = []
-            for src in incoming:
-                e = next(i for i, (s, d) in enumerate(plan.edges) if s == src and d == k)
-                own = plan.transfer_layers[e].forward(feats[k])
-                align_terms.append(L.l1_alignment(own, feats[src]))
-            loss = loss + _mean_losses(align_terms)
-        backward(loss)
-        records.append(rec)
-    plan.logit_opt.step()
-    return records
-
-
-def _vanilla_step(plan, x, y):
-    feats, logits = forward_all(plan, x)
-    plan.logit_opt.zero_grad()
-    records = []
-    for k, z in enumerate(logits):
-        ce = L.cross_entropy(y, z)
-        records.append(StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
-                                  top1=_batch_top1(z, y)))
-        backward(ce)
-    plan.logit_opt.step()
-    return records
-
-
 def baseline_train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
     if plan.method == "dml":
         return _dml_step(plan, x, y)
-    if plan.method == "kd_ensemble":
-        return _kd_ensemble_step(plan, x, y)
-    if plan.method == "l1":
-        return _l1_step(plan, x, y, with_kd=False)
-    if plan.method in ("l1_kd", "l1_kd_offline"):
-        return _l1_step(plan, x, y, with_kd=True)
-    if plan.method == "vanilla":
-        return _vanilla_step(plan, x, y)
-    raise ConfigError(f"{plan.method!r} is not a baseline method")
+    if plan.method == "afd":
+        raise ConfigError(f"{plan.method!r} is not a baseline method")
+    feats, logits = forward_all(plan, x)
+    return afd_logit_phase(plan, y, feats, logits)
 
 
 def train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
@@ -360,12 +327,9 @@ def evaluate(nets, dataset: Dataset, batch_size: int = 256):
     """Per-net top-1 and average-softmax ensemble top-1, in eval mode."""
     if dataset.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    saved_modes = [net.training for net in nets]
-    for net in nets:
-        net.eval()
     correct = np.zeros(len(nets), dtype=np.int64)
     ens_correct = 0
-    with no_grad():
+    with eval_mode(*nets), no_grad():
         for x, y in sequential_batches(dataset, batch_size):
             xt = Tensor(x)
             prob_sum = None
@@ -375,8 +339,6 @@ def evaluate(nets, dataset: Dataset, batch_size: int = 256):
                 correct[i] += int((probs.argmax(axis=1) == y).sum())
                 prob_sum = probs if prob_sum is None else prob_sum + probs
             ens_correct += int(((prob_sum / len(nets)).argmax(axis=1) == y).sum())
-    for net, mode in zip(nets, saved_modes):
-        net.training = mode
     per_net = [float(c) / dataset.n for c in correct]
     return per_net, float(ens_correct) / dataset.n
 
@@ -386,41 +348,32 @@ def evaluate(nets, dataset: Dataset, batch_size: int = 256):
 # ---------------------------------------------------------------------------
 
 
-def _load_net_entries(net, entries, prefix):
-    for name, p in net.params().items():
-        arr = entries[prefix + name]
-        if arr.shape != p.data.shape:
-            raise ConfigError(
-                f"checkpoint entry {prefix + name} has shape {arr.shape}, "
-                f"expected {p.data.shape}"
-            )
-        p.data = arr.copy()
-    for name, buf in net.buffers().items():
-        buf[:] = entries[prefix + name]
+def _checked_entry(entries, key, shape):
+    if key not in entries:
+        raise FormatError(f"checkpoint has no entry {key}")
+    if entries[key].shape != shape:
+        raise ConfigError(
+            f"checkpoint entry {key} has shape {entries[key].shape}, expected {shape}")
+    return entries[key]
+
+
+def _load_module_entries(module, entries, prefix):
+    """Copy a module's params from ``entries``; buffers are written in place
+    because the layers hold those arrays."""
+    for name, p in module.params().items():
+        p.data = _checked_entry(entries, prefix + name, p.data.shape).copy()
+    for name, buf in module.buffers().items():
+        buf[:] = _checked_entry(entries, prefix + name, buf.shape)
 
 
 def plan_state_entries(plan: DistillPlan, epoch: int, mean: np.ndarray, std: np.ndarray):
     entries = {}
-    for i, net in enumerate(plan.nets):
-        for name, p in net.params().items():
-            entries[f"net{i}/{name}"] = p.data
-        for name, buf in net.buffers().items():
-            entries[f"net{i}/{name}"] = buf
-    for e, disc in plan.discriminators.items():
-        for name, p in disc.params().items():
-            entries[f"disc{e}/{name}"] = p.data
-        for name, buf in disc.buffers().items():
-            entries[f"disc{e}/{name}"] = buf
-    for e, tr in plan.transfer_layers.items():
-        for name, p in tr.params().items():
-            entries[f"transfer{e}/{name}"] = p.data
-        for name, buf in tr.buffers().items():
-            entries[f"transfer{e}/{name}"] = buf
-    for name, arr in plan.logit_opt.state_arrays().items():
-        entries[f"opt_logit/{name}"] = arr
+    for prefix, module in plan.modules():
+        entries.update(_prefixed(prefix, {name: p.data for name, p in module.params().items()}))
+        entries.update(_prefixed(prefix, module.buffers()))
+    entries.update(_prefixed("opt_logit", plan.logit_opt.state_arrays()))
     if plan.adv_opt is not None:
-        for name, arr in plan.adv_opt.state_arrays().items():
-            entries[f"opt_adv/{name}"] = arr
+        entries.update(_prefixed("opt_adv", plan.adv_opt.state_arrays()))
     entries["meta/epoch"] = np.asarray([float(epoch)], dtype=np.float32)
     entries["data/mean"] = mean
     entries["data/std"] = std
@@ -428,25 +381,24 @@ def plan_state_entries(plan: DistillPlan, epoch: int, mean: np.ndarray, std: np.
 
 
 def restore_plan(plan: DistillPlan, entries: dict):
-    for i, net in enumerate(plan.nets):
-        _load_net_entries(net, entries, f"net{i}/")
-    for e, disc in plan.discriminators.items():
-        for name, p in disc.params().items():
-            p.data = entries[f"disc{e}/{name}"].copy()
-        for name, buf in disc.buffers().items():
-            buf[:] = entries[f"disc{e}/{name}"]
-    for e, tr in plan.transfer_layers.items():
-        for name, p in tr.params().items():
-            p.data = entries[f"transfer{e}/{name}"].copy()
-        for name, buf in tr.buffers().items():
-            buf[:] = entries[f"transfer{e}/{name}"]
-    plan.logit_opt.load_state_arrays(
-        {name[len("opt_logit/"):]: arr for name, arr in entries.items()
-         if name.startswith("opt_logit/")})
+    """Load a checkpoint into ``plan``; returns the epoch it was saved at.
+
+    The checkpoint must hold exactly the entries ``plan`` saves, checked
+    before anything is loaded (``FormatError``), with the same shapes
+    (``ConfigError``), so a checkpoint from another method, topology or
+    architecture is refused.
+    """
+    expected = plan_state_entries(plan, 0, None, None)
+    if expected.keys() != entries.keys():
+        name = next(n for n in [*expected, *entries] if (n in expected) != (n in entries))
+        problem = "has no entry" if name in expected else "has an extra entry"
+        raise FormatError(f"checkpoint {problem} {name} for method {plan.method} "
+                          f"with {len(plan.nets)} nets")
+    for prefix, module in plan.modules():
+        _load_module_entries(module, entries, prefix + "/")
+    plan.logit_opt.load_state_arrays(_unprefixed("opt_logit/", entries))
     if plan.adv_opt is not None:
-        plan.adv_opt.load_state_arrays(
-            {name[len("opt_adv/"):]: arr for name, arr in entries.items()
-             if name.startswith("opt_adv/")})
+        plan.adv_opt.load_state_arrays(_unprefixed("opt_adv/", entries))
     return int(entries["meta/epoch"][0])
 
 
@@ -467,17 +419,26 @@ def _fmt_lr(value) -> str:
     return f"{value:.8g}"
 
 
-def _load_raw_data(config: RunConfig):
-    if config.data_source == "idx":
-        train = load_idx(config.train_images, config.train_labels)
-        test = load_idx(config.test_images, config.test_labels)
-        train.split, test.split = "train", "test"
-        return train, test
-    train = synth_blobs(config.num_classes, config.per_class_train, config.image_size,
-                        config.noise_std, config.data_seed, "train")
-    test = synth_blobs(config.num_classes, config.per_class_test, config.image_size,
-                       config.noise_std, config.data_seed + 1, "test")
-    return train, test
+def _field_mean(records, name):
+    """Mean of one StepRecord field over ``records``, summed left to right;
+    None when no record carries it."""
+    total, present = 0.0, False
+    for rec in records:
+        value = getattr(rec, name)
+        if value is not None:
+            total += value
+            present = True
+    return total / len(records) if present else None
+
+
+def _rows_through(csv_path, epoch):
+    """Data lines of an existing metrics.csv with an epoch <= ``epoch``."""
+    if not os.path.exists(csv_path):
+        return []
+    with open(csv_path) as f:
+        lines = f.readlines()[1:]
+    epochs = [line.split(",", 1)[0] for line in lines]
+    return [line for line, e in zip(lines, epochs) if e.isdigit() and int(e) <= epoch]
 
 
 def run_experiment(config: RunConfig, resume_from=None):
@@ -489,7 +450,7 @@ def run_experiment(config: RunConfig, resume_from=None):
     land at each logit-phase milestone and at the end.
     """
     config.validate()
-    raw_train, raw_test = _load_raw_data(config)
+    raw_train, raw_test = load_splits(config)
     mean, std = channel_stats(raw_train)
     plan = build_plan(config)
     start_epoch = 0
@@ -502,7 +463,8 @@ def run_experiment(config: RunConfig, resume_from=None):
 
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "metrics.csv")
-    append = resume_from is not None and os.path.exists(csv_path)
+    # a resumed run keeps the rows written up to its checkpoint and rewrites the rest
+    kept = _rows_through(csv_path, start_epoch) if start_epoch else []
     rows = []
 
     def lr_pair(epoch):
@@ -510,17 +472,15 @@ def run_experiment(config: RunConfig, resume_from=None):
         lr_a = lr_at(epoch, config.lr_adv, config.milestones_adv, config.lr_factor)
         return lr_l, lr_a
 
-    with open(csv_path, "a" if append else "w") as out:
-        if not append:
-            out.write(CSV_HEADER + "\n")
+    with open(csv_path, "w") as out:
+        out.write(CSV_HEADER + "\n")
+        out.writelines(kept)
 
-        def emit(epoch, net_id, split, ce, kl, g, d, top1, ens, lr_l, lr_a):
-            row = {"epoch": epoch, "net_id": net_id, "split": split,
-                   "loss_ce": ce, "loss_kl": kl, "loss_g": g, "loss_d": d,
-                   "top1": top1, "ens_top1": ens, "lr_logit": lr_l, "lr_adv": lr_a}
-            rows.append(row)
-            out.write(f"{epoch},{net_id},{split},{_fmt(ce)},{_fmt(kl)},{_fmt(g)},"
-                      f"{_fmt(d)},{_fmt(top1)},{_fmt(ens)},{_fmt_lr(lr_l)},{_fmt_lr(lr_a)}\n")
+        def emit(*values):  # one value per CSV_HEADER column
+            rows.append(dict(zip(CSV_HEADER.split(","), values)))
+            cells = ([str(v) for v in values[:3]] + [_fmt(v) for v in values[3:9]]
+                     + [_fmt_lr(v) for v in values[9:]])
+            out.write(",".join(cells) + "\n")
 
         def emit_eval(epoch):
             lr_l, lr_a = lr_pair(max(epoch - 1, 0))
@@ -536,34 +496,17 @@ def run_experiment(config: RunConfig, resume_from=None):
             plan.logit_opt.lr = lr_l
             if plan.adv_opt is not None:
                 plan.adv_opt.lr = lr_a
-            sums, counts = {}, {}
+            by_net = {}
             for x, y in batches(train_ds, config.batch_size, config.seed, epoch):
                 for rec in train_step(plan, x, y):
-                    acc = sums.setdefault(rec.net_id, [0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0])
-                    acc[0] += rec.loss_ce
-                    if rec.loss_kl is not None:
-                        acc[1] += rec.loss_kl
-                        acc[5] = 1
-                    if rec.loss_g is not None:
-                        acc[2] += rec.loss_g
-                        acc[6] = 1
-                    if rec.loss_d is not None:
-                        acc[3] += rec.loss_d
-                        acc[7] = 1
-                    acc[4] += rec.top1
-                    counts[rec.net_id] = counts.get(rec.net_id, 0) + 1
-            for k in sorted(sums):
-                n = counts[k]
-                s = sums[k]
-                emit(epoch + 1, k, "train", s[0] / n,
-                     s[1] / n if s[5] else None,
-                     s[2] / n if s[6] else None,
-                     s[3] / n if s[7] else None,
-                     s[4] / n, None, lr_l, lr_a)
-            per_net, ens = evaluate(plan.nets, test_ds, config.batch_size)
-            for k, acc in enumerate(per_net):
-                emit(epoch + 1, k, "test", None, None, None, None, acc, ens, lr_l, lr_a)
+                    by_net.setdefault(rec.net_id, []).append(rec)
+            for k in sorted(by_net):
+                means = [_field_mean(by_net[k], name)
+                         for name in ("loss_ce", "loss_kl", "loss_g", "loss_d", "top1")]
+                emit(epoch + 1, k, "train", *means, None, lr_l, lr_a)
+            emit_eval(epoch + 1)
             if (epoch + 1) in config.milestones_logit:
+                out.flush()  # a resume from this checkpoint keeps the rows up to here
                 save_plan_checkpoint(
                     plan, os.path.join(config.out_dir, f"checkpoint_ep{epoch + 1}.afdk"),
                     epoch + 1, mean, std)

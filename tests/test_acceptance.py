@@ -173,7 +173,7 @@ def trained_runs(tmp_path_factory):
                 plan = build_plan(cfg)
                 entries = load_entries(os.path.join(out_dir, "checkpoint_final.afdk"))
                 restore_plan(plan, entries)
-                _, raw_test = trainer._load_raw_data(cfg)
+                _, raw_test = data.load_splits(cfg)
                 test_ds = data.standardize(raw_test, entries["data/mean"], entries["data/std"])
                 cosine = feature_similarity(plan.nets[0], plan.nets[1], test_ds).cosine
             results[(method, seed)] = (accs, ens, cosine)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from peerkd import analysis, blocks, data
-from peerkd.errors import ContractError, DataError, UsageError
+from peerkd.errors import ContractError, DataError, ShapeError, UsageError
 from peerkd.tensor import Tensor
 
 
@@ -22,6 +22,18 @@ class _FixedFeatureNet:
     def extract(self, x):
         b = x.shape[0]
         return Tensor(self.features[:b])
+
+
+class _FailingFeatureNet(_FixedFeatureNet):
+    """Analysis stub whose extract raises on its second call."""
+
+    calls = 0
+
+    def extract(self, x):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("second batch")
+        return super().extract(x)
 
 
 def _dataset(n=4, hw=4):
@@ -107,6 +119,14 @@ class TestFeatureSimilarity:
         with pytest.raises(DataError):
             analysis.feature_similarity(net, net, _dataset(0))
 
+    def test_modes_restored_when_extract_raises(self):
+        feats = np.zeros((4, 2, 2, 2), dtype=np.float32)
+        steady, failing = _FixedFeatureNet(feats), _FailingFeatureNet(feats)
+        steady.training = failing.training = True
+        with pytest.raises(RuntimeError, match="second batch"):
+            analysis.feature_similarity(steady, failing, _dataset(4), batch_size=2)
+        assert steady.training and failing.training
+
 
 def _passthrough_net(num_classes=2, channels=1, head_rows=None):
     """1x1-conv network whose feature map equals its input."""
@@ -168,6 +188,12 @@ class TestGradCam:
         net = _passthrough_net()
         with pytest.raises(DataError):
             analysis.grad_cam(net, np.zeros((1, 4, 4), dtype=np.float32), target_class=2)
+
+    def test_mode_restored_when_forward_raises(self):
+        net = _passthrough_net().train()
+        with pytest.raises(ShapeError):  # 3 input channels into a 1-channel conv
+            analysis.grad_cam(net, np.zeros((3, 4, 4), dtype=np.float32), target_class=0)
+        assert net.training
 
     def test_does_not_leave_param_grads(self):
         net = _passthrough_net(head_rows=[[2.0], [-1.0]])

@@ -71,7 +71,7 @@ class TestBuildNetwork:
 class TestForwardNetwork:
     def test_logit_shape_contract(self):
         net = blocks.build_network("tiny-a", 6, seed=3)
-        _, logit = blocks.forward_network(net, Tensor(np.zeros((4, 1, 16, 16), dtype=np.float32)))
+        _, logit = net.forward(Tensor(np.zeros((4, 1, 16, 16), dtype=np.float32)))
         assert logit.shape == (4, 6)
 
     def test_feature_matches_extract(self):

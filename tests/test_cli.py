@@ -50,6 +50,20 @@ def test_analyze_prints_csv_row(run_dir, capsys):
     assert l1 >= 0 and l2 >= 0 and -1 <= cos <= 1
     assert int(fields[5]) == 12  # 3 classes x 4 per class
 
+def test_eval_refuses_checkpoint_with_fewer_nets(run_dir, capsys):
+    code = main(["eval"] + _common_flags(run_dir) + ["--archs", "tiny-a", "--k", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "net2/" in err and "Traceback" not in err
+
+
+def test_eval_refuses_checkpoint_of_another_method(run_dir, capsys):
+    code = main(["eval"] + _common_flags(run_dir) + ["--method", "vanilla"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "disc0/" in err and "Traceback" not in err
+
+
 def test_gradcam_writes_pgm(run_dir, tmp_path, capsys):
     out_file = tmp_path / "cam.pgm"
     assert main(["gradcam"] + _common_flags(run_dir)

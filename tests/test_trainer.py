@@ -266,6 +266,25 @@ class TestEvaluate:
         per_net, _ = evaluate([net], self._dataset([0, 1]))
         assert per_net == [0.5]  # both predicted as class 0
 
+    def test_modes_restored_when_forward_raises(self):
+        steady = _FixedLogitNet([1.0, 0.0]).train()
+        failing = _FailingLogitNet([1.0, 0.0]).train()
+        with pytest.raises(RuntimeError, match="second batch"):
+            evaluate([steady, failing], self._dataset([0, 0, 1, 1]), batch_size=2)
+        assert steady.training and failing.training
+
+
+class _FailingLogitNet(_FixedLogitNet):
+    """Evaluation stub whose forward raises on its second call."""
+
+    calls = 0
+
+    def forward(self, x):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("second batch")
+        return super().forward(x)
+
 
 class TestRunExperiment:
     def test_identical_seed_identical_csv_bytes(self, tmp_path):
@@ -326,6 +345,28 @@ class TestRunExperiment:
                     assert va == vb
                 else:
                     assert abs(va - vb) <= 1e-6
+
+    def test_resume_into_same_dir_rewrites_later_rows(self, tmp_path):
+        cfg = tiny_cfg(epochs=4, milestones_logit="2", out_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        run_experiment(cfg, resume_from=str(tmp_path / "run" / "checkpoint_ep2.afdk"))
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert lines[0] == trainer.CSV_HEADER
+        keys = [tuple(line.split(",")[:3]) for line in lines[1:]]
+        assert len(keys) == 18  # epoch-0 test rows, then a train and test row per net per epoch
+        assert len(set(keys)) == len(keys)
+
+    def test_rows_on_disk_before_milestone_checkpoint(self, tmp_path, monkeypatch):
+        csv_lines = {}
+        save = trainer.save_plan_checkpoint
+
+        def spy(plan, path, epoch, mean, std):
+            csv_lines[epoch] = (tmp_path / "m" / "metrics.csv").read_text().count("\n")
+            save(plan, path, epoch, mean, std)
+
+        monkeypatch.setattr(trainer, "save_plan_checkpoint", spy)
+        run_experiment(tiny_cfg(epochs=2, milestones_logit="1", out_dir=str(tmp_path / "m")))
+        assert csv_lines[1] == 1 + 2 + 4  # header, epoch-0 test rows, epoch-1 train and test rows
 
     def test_milestone_checkpoint_written(self, tmp_path):
         cfg = tiny_cfg(epochs=2, milestones_logit="1", out_dir=str(tmp_path / "m"))
