@@ -74,7 +74,8 @@ def grad_cam(net, image, target_class: int) -> Tensor:
 
     Channel weights are the spatial mean of d(logit[target])/d(feature);
     the map is the ReLU of the weighted channel sum, normalized by its max
-    (an all-zero map stays all-zero).
+    (an all-zero map stays all-zero). Every parameter's ``.grad`` is left as
+    it was found.
     """
     if not 0 <= target_class < net.num_classes:
         raise DataError(
@@ -83,12 +84,16 @@ def grad_cam(net, image, target_class: int) -> Tensor:
     arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
-    with eval_mode(net):
-        feature, logit = net.forward(Tensor(arr))
-        backward(mean_all(take_rows(logit, np.asarray([target_class]))))
+    params = list(net.params().values())
+    saved = [p.grad for p in params]
+    try:
+        with eval_mode(net):
+            feature, logit = net.forward(Tensor(arr))
+            backward(mean_all(take_rows(logit, np.asarray([target_class]))))
+    finally:
+        for p, grad in zip(params, saved):
+            p.grad = grad
     grads = feature.grad[0] if feature.grad is not None else np.zeros_like(feature.data[0])
-    for p in net.params().values():
-        p.grad = None
     weights = grads.mean(axis=(1, 2))
     cam = np.maximum(np.einsum("c,chw->hw", weights, feature.data[0]), 0.0)
     peak = cam.max()

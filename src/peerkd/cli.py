@@ -15,7 +15,7 @@ from .analysis import export_pgm, feature_similarity, grad_cam
 from .checkpoint import load_entries
 from .data import (RunConfig, build_config, load_splits, parse_config_file,
                    save_idx, standardize, synth_blobs)
-from .errors import PeerKDError
+from .errors import PeerKDError, UsageError
 from .trainer import build_plan, evaluate, restore_plan, run_experiment
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
@@ -83,6 +83,10 @@ def _cmd_analyze(args):
 
 def _cmd_gradcam(args):
     config, plan, test_ds = _restored_plan(args)
+    for flag, value, count in (("--net", args.net, len(plan.nets)),
+                               ("--index", args.index, test_ds.n)):
+        if not 0 <= value < count:
+            raise UsageError(f"{flag} {value} out of range [0, {count})")
     net = plan.nets[args.net]
     image = test_ds.images[args.index]
     target = args.target_class

@@ -3,7 +3,10 @@
 The two training phases own disjoint optimizer instances even where their
 parameter sets overlap, so momentum and moment estimates never leak across
 phases. Parameter updates assign fresh arrays instead of writing in place,
-which keeps gradients recorded before a step valid afterwards.
+so arrays a recorded op saved (its inputs, a conv kernel) keep their
+pre-step values. That does not make a graph recorded before a step fully
+pre-step: the batch-norm and linear vjps read ``gamma.data`` and
+``weight.data`` when ``backward`` runs, and so see the updated values.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ optimizations: phase A steps every network synchronously on cross-entropy
 plus the peer mimicry term, then phase B reuses the same feature maps to
 step each edge's discriminator on the least-squares real/fake objective and
 each extractor (plus transfer layer) on the fooling objective, under a
-separate Adam with its own schedule. The fooling gradient is taken against
-the discriminator as it stood before its update in the same batch.
+separate Adam with its own schedule. The fooling loss is recorded before
+the discriminator's update in the same batch, but its gradient is replayed
+after it (see ``afd_adversarial_phase``).
 """
 
 from __future__ import annotations
@@ -166,7 +167,9 @@ def build_plan(config: RunConfig) -> DistillPlan:
 
 @contextlib.contextmanager
 def _frozen_params(module):
-    """Treat a module's parameters as constants inside the block."""
+    """Treat a module's parameters as constants in the ops recorded inside
+    the block: ``backward`` routes by the flags each op recorded, so those
+    ops send no gradient to the module, also when it runs after the block."""
     params = list(module.params().values())
     saved = [p.requires_grad for p in params]
     for p in params:
@@ -247,10 +250,12 @@ def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
 def afd_adversarial_phase(plan: DistillPlan, feats, records=None):
     """Phase B: per edge, discriminator step then extractor+transfer step.
 
-    Both scoring passes for the fooling loss run before the discriminator
-    moves, so the generator gradient is taken against the pre-update
-    discriminator. Features come detached into the discriminator loss;
-    the discriminator is frozen inside the fooling loss.
+    Features come detached into the discriminator loss; the discriminator
+    is frozen inside the fooling loss, so that loss's backward writes no
+    discriminator gradient. The fooling pass is recorded before the
+    discriminator moves, but its backward runs after the step: the conv
+    vjps use the kernels saved at record time, while the batch-norm vjp
+    reads the discriminator's gamma at replay, i.e. after its update.
     """
     by_net = {r.net_id: r for r in records or []}
     plan.adv_opt.zero_grad()

@@ -200,6 +200,15 @@ class TestGradCam:
         analysis.grad_cam(net, np.ones((1, 4, 4), dtype=np.float32), 0)
         assert all(p.grad is None for p in net.params().values())
 
+    def test_keeps_grads_it_did_not_write(self):
+        net = _passthrough_net(head_rows=[[2.0], [-1.0]])
+        pending = np.full(net.head_weight.shape, 0.5, dtype=np.float32)
+        net.head_weight.grad = pending
+        analysis.grad_cam(net, np.ones((1, 4, 4), dtype=np.float32), 0)
+        assert net.head_weight.grad is pending
+        np.testing.assert_array_equal(pending, np.full(net.head_weight.shape, 0.5))
+        assert net.head_bias.grad is None
+
 
 def _read_pgm(path):
     raw = open(path, "rb").read()

@@ -71,6 +71,17 @@ def test_gradcam_writes_pgm(run_dir, tmp_path, capsys):
     assert out_file.read_bytes().startswith(b"P5\n")
 
 
+@pytest.mark.parametrize("flag,value", [("--index", "12"), ("--index", "-1"),
+                                        ("--net", "2"), ("--net", "-1")])
+def test_gradcam_refuses_out_of_range_selection(run_dir, tmp_path, capsys, flag, value):
+    out_file = tmp_path / "cam.pgm"
+    code = main(["gradcam"] + _common_flags(run_dir) + [flag, value, "--out", str(out_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {flag} {value} out of range") and "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_synth_data_round_trips(tmp_path, capsys):
     img = tmp_path / "train.images.idx"
     lbl = tmp_path / "train.labels.idx"

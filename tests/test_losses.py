@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rel_err
-from peerkd import blocks, losses
+from peerkd import blocks, losses, trainer
 from peerkd import tensor as T
 from peerkd.errors import ConfigError, ContractError, DataError, ShapeError
 from peerkd.tensor import Tensor, backward
@@ -253,3 +253,15 @@ class TestGradientFlowIsolation:
         backward(losses.lsgan_g_loss(disc.forward(feature)))
         assert all(p.grad is None for p in disc.params().values())
         assert any(p.grad is not None for p in net.extractor_params().values())
+
+    def test_g_loss_frozen_at_record_time_skips_discriminator(self):
+        # the fooling loss is recorded under _frozen_params and replayed after
+        # the block has restored requires_grad, as afd_adversarial_phase does
+        net, disc, x, _ = self._setup()
+        feature, _ = net.forward(x)
+        with trainer._frozen_params(disc):
+            g_loss = losses.lsgan_g_loss(disc.forward(feature))
+        assert all(p.requires_grad for p in disc.params().values())
+        backward(g_loss)
+        assert all(p.grad is None for p in disc.params().values())
+        assert all(p.grad is not None for p in net.extractor_params().values())

@@ -89,6 +89,22 @@ class TestConv2d:
         assert out.shape == (1, 3, 3, 3)
         assert rel_err(out, conv_loop_oracle(x, k, 2, 1)) < 1e-6
 
+    def test_vjp_skips_gradients_not_needed_at_record_time(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)).astype(np.float32))
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.ones((2, 3, 5, 5), dtype=np.float32)
+        g_x, g_k, g_b = T.conv2d(x, k, bias, padding=1)._vjp(g)
+        assert g_x is None and g_k.shape == k.shape and g_b.shape == (3,)
+
+        x.requires_grad = True
+        k.requires_grad = bias.requires_grad = False
+        out = T.conv2d(x, k, bias, padding=1)
+        k.requires_grad = bias.requires_grad = True  # replay sees the record-time flags
+        g_x, g_k, g_b = out._vjp(g)
+        assert g_x.shape == x.shape and g_k is None and g_b is None
+
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)),
@@ -161,6 +177,19 @@ class TestActivations:
     def test_relu_equals_zero_slope(self):
         x = Tensor(np.random.default_rng(1).standard_normal(40).astype(np.float32))
         np.testing.assert_array_equal(T.relu(x).data, T.leaky_relu(x, 0.0).data)
+
+    def test_zero_slope_bits_match_where_form(self):
+        vals = np.array([-2.5, -0.0, 0.0, 1.5, np.nan, -np.inf, np.inf, -1e-45], dtype=np.float32)
+        grads = np.array([1.0, -3.0, 2.0, -0.0, 4.0, 5.0, np.nan, -7.0], dtype=np.float32)
+        mask = vals >= 0
+        zero = np.float32(0.0)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = T.leaky_relu(Tensor(vals, requires_grad=True), 0.0)
+            (got_grad,) = out._vjp(grads)
+            expect_out = np.where(mask, vals, vals * zero)
+            expect_grad = np.where(mask, grads, grads * zero)
+        assert out.data.tobytes() == expect_out.tobytes()
+        assert got_grad.tobytes() == expect_grad.tobytes()
 
     def test_bad_slope(self):
         with pytest.raises(ConfigError):
@@ -264,6 +293,16 @@ class TestBackward:
         backward(T.sum_all(y * y))
         assert y.grad is not None
         np.testing.assert_allclose(y.grad, [8.0])  # d(y^2)/dy = 2y = 8
+
+    def test_flag_cleared_at_record_time_routes_no_gradient(self):
+        x = t64([3.0], grad=True)
+        w = t64([2.0], grad=True)
+        w.requires_grad = False
+        loss = T.sum_all(x * w)
+        w.requires_grad = True
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0])
+        assert w.grad is None
 
     def test_no_grad_suppresses_graph(self):
         x = t64([1.0], grad=True)
