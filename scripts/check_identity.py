@@ -7,7 +7,16 @@ checkpoints there. The set covers every training path: vanilla, dml,
 kd_ensemble with K=3, l1 and afd on a tiny-a/tiny-b pair, l1_kd, and afd
 with K=3. Every run uses 3 classes, 3 epochs, batch 32, 64 training and
 16 test images per class, 16x16 images and milestone 1 for both learning
-rates. A change that is meant to leave training unchanged must give
+rates.
+
+After training, each run's ``checkpoint_final.afdk`` is restored and the
+raw float32 bytes of every net's eval-mode logits on the standardized test
+split are written, net after net, to ``eval_logits.bin``. That covers the
+eval-mode kernels (batch norm on running statistics, pooling) to the last
+bit; a last-bit change there almost never moves a top-1 fraction in
+``metrics.csv``.
+
+A change that is meant to leave training and evaluation unchanged must give
 identical files:
 
     PYTHONPATH=<tree A>/src python3 scripts/check_identity.py --out /tmp/ident-a
@@ -23,7 +32,12 @@ import os
 import sys
 
 import peerkd
+from peerkd.blocks import eval_mode
+from peerkd.checkpoint import load_entries
 from peerkd.cli import main
+from peerkd.data import build_config, load_splits, standardize
+from peerkd.tensor import Tensor, no_grad
+from peerkd.trainer import build_plan, restore_plan
 
 COMMON = ["--num-classes", "3", "--epochs", "3", "--batch-size", "32",
           "--per-class-train", "64", "--per-class-test", "16", "--image-size", "16",
@@ -40,12 +54,29 @@ RUNS = {
 }
 
 
+def write_eval_logits(flags, run_dir):
+    """Restore the run's final checkpoint and write its test-split logits."""
+    pairs = zip(flags[::2], flags[1::2])
+    config = build_config(overrides={flag[2:].replace("-", "_"): value for flag, value in pairs})
+    plan = build_plan(config)
+    entries = load_entries(os.path.join(run_dir, "checkpoint_final.afdk"))
+    restore_plan(plan, entries)
+    test = standardize(load_splits(config)[1], entries["data/mean"], entries["data/std"])
+    with open(os.path.join(run_dir, "eval_logits.bin"), "wb") as f, \
+            eval_mode(*plan.nets), no_grad():
+        for net in plan.nets:
+            _, logits = net.forward(Tensor(test.images))
+            f.write(logits.data.tobytes())
+
+
 def run_all(out_root):
     print(f"peerkd from {os.path.dirname(peerkd.__file__)}")
     for name, flags in RUNS.items():
-        code = main(["train", *flags, *COMMON, "--out-dir", os.path.join(out_root, name)])
+        run_dir = os.path.join(out_root, name)
+        code = main(["train", *flags, *COMMON, "--out-dir", run_dir])
         if code != 0:
             return code
+        write_eval_logits([*flags, *COMMON], run_dir)
     return 0
 
 

@@ -158,16 +158,22 @@ def _build_extractor(spec: str, in_channels: int, rng, dtype):
         try:
             if kind == "conv":
                 _, c, k, s = parts
-                layers.append(_Conv(rng, channels, int(c), int(k), int(s), dtype))
-                channels = int(c)
-            elif kind == "bn":
-                layers.append(_BatchNorm(channels, dtype))
-            elif kind == "relu":
-                layers.append(_ReLU())
+                sizes = (int(c), int(k), int(s))
             else:
-                layers.append(_Pool(int(parts[1])))
+                sizes = (int(parts[1]),) if kind == "pool" else ()
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"malformed block token {token!r}") from exc
+        if min(sizes, default=1) < 1:
+            raise ConfigError(f"block token {token!r}: sizes must be positive")
+        if kind == "conv":
+            layers.append(_Conv(rng, channels, *sizes, dtype))
+            channels = sizes[0]
+        elif kind == "bn":
+            layers.append(_BatchNorm(channels, dtype))
+        elif kind == "relu":
+            layers.append(_ReLU())
+        else:
+            layers.append(_Pool(sizes[0]))
     if not any(isinstance(layer, _Conv) for layer in layers):
         raise ConfigError("block spec contains no convolution")
     return layers, channels

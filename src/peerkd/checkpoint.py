@@ -14,6 +14,8 @@ a restored run continues exactly where it stopped.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -25,21 +27,33 @@ VERSION = 1
 
 
 def save_entries(path, entries: dict[str, np.ndarray]):
-    """Write named float arrays; values are stored as float32."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(entries)))
-        for name, arr in entries.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            name_bytes = name.encode("utf-8")
-            if len(name_bytes) > 0xFFFF:
-                raise FormatError(f"entry name too long: {name!r}")
-            f.write(struct.pack("<H", len(name_bytes)))
-            f.write(name_bytes)
-            f.write(struct.pack("<B", max(data.ndim, 1)))
-            dims = data.shape if data.ndim else (1,)
-            f.write(struct.pack(f"<{len(dims)}I", *dims))
-            f.write(data.tobytes())
+    """Write named float arrays; values are stored as float32.
+
+    The bytes go to a sibling ``.tmp`` file that replaces ``path`` only once
+    it is complete, so a save that fails midway leaves an earlier file at
+    ``path`` as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(entries)))
+            for name, arr in entries.items():
+                data = np.ascontiguousarray(arr, dtype="<f4")
+                name_bytes = name.encode("utf-8")
+                if len(name_bytes) > 0xFFFF:
+                    raise FormatError(f"entry name too long: {name!r}")
+                f.write(struct.pack("<H", len(name_bytes)))
+                f.write(name_bytes)
+                f.write(struct.pack("<B", max(data.ndim, 1)))
+                dims = data.shape if data.ndim else (1,)
+                f.write(struct.pack(f"<{len(dims)}I", *dims))
+                f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _take(buf, offset, count, path):

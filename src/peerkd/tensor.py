@@ -377,7 +377,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         if bias.data.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[None, :, None, None]
     # the same record-time flags _make keeps: a constant input (a data batch,
     # a detached feature) or a frozen kernel costs no gradient work
     need_x, need_kernel = x.requires_grad, kernel.requires_grad
@@ -414,6 +414,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     Training mode normalizes by batch statistics and folds them into the
     running buffers in place (exponential moving average, unbiased variance
     for the running estimate). Eval mode normalizes by the running buffers.
+
+    The centred input is computed once: the variance is the mean of its
+    square (the bits of ``np.var``), and it becomes the normalized input in
+    place. The vjp takes the means of ``g`` and ``g * xhat`` from the sums it
+    already has for the beta and gamma gradients.
     """
     if x.data.ndim != 4:
         raise ShapeError("batch_norm expects NCHW input")
@@ -424,7 +429,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mean[None, :, None, None]
+        var = (xhat * xhat).mean(axis=axes)
         if running_mean is not None:
             unbiased = var * (n / (n - 1)) if n > 1 else var
             running_mean *= 1.0 - momentum
@@ -434,20 +440,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         if running_mean is None or running_var is None:
             raise StateError("batch_norm: eval mode requires populated running stats")
-        mean = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
+        xhat = x.data - running_mean.astype(x.data.dtype, copy=False)[None, :, None, None]
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat
+    out += beta.data[None, :, None, None]
 
     def vjp(g):
         g_beta = g.sum(axis=axes)
         g_gamma = (g * xhat).sum(axis=axes)
         scale = (gamma.data * inv_std)[None, :, None, None]
         if training:
-            g_mean = g.mean(axis=axes)[None, :, None, None]
-            gx_mean = (g * xhat).mean(axis=axes)[None, :, None, None]
-            g_x = scale * (g - g_mean - xhat * gx_mean)
+            g_x = g - (g_beta / n)[None, :, None, None]
+            g_x -= xhat * (g_gamma / n)[None, :, None, None]
+            np.multiply(scale, g_x, out=g_x)
         else:
             g_x = scale * g
         return g_x, g_gamma, g_beta
@@ -469,17 +476,31 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping k x k average pooling; spatial dims must divide by k."""
+    """Non-overlapping k x k average pooling; spatial dims must divide by k.
+
+    The window sum adds the strided slices ``x[:, :, i::k, j::k]`` along each
+    window row, then adds the rows, each ``sum`` starting from its 0, which
+    adds as +0.0. That is the order and the start of numpy's mean over the
+    reshaped windows, so the result has its bits: the +0.0 start turns an
+    all -0.0 window (a ReLU of negatives) into +0.0, as numpy does. Two cases
+    differ in the last bit: k >= 8, where numpy sums a window row pairwise,
+    and an output width of 1, where numpy sums each window as one run.
+    """
     if x.data.ndim != 4:
         raise ShapeError("avg_pool2d expects NCHW input")
+    if k < 1:
+        raise ConfigError(f"avg_pool2d: pool size must be >= 1, got {k}")
     b, c, h, w = x.data.shape
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    out = x.data.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    d = x.data
+    out = sum(sum(d[:, :, i::k, j::k] for j in range(k)) for i in range(k))
+    out /= k * k
 
     def vjp(g):
-        g_x = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
-        return (g_x.astype(g.dtype),)
+        g_x = np.empty((b, c, h // k, k, w // k, k), dtype=g.dtype)
+        g_x[...] = (g / (k * k))[:, :, :, None, :, None]
+        return (g_x.reshape(b, c, h, w),)
 
     return _make(out, (x,), vjp, "avg_pool2d")
 

@@ -46,6 +46,11 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError):
             blocks.build_network("bn-relu", 4, seed=0)
 
+    @pytest.mark.parametrize("spec", ["conv:0:3:1", "conv:8:0:1", "conv:8:3:0", "conv:8:3:1-pool:0"])
+    def test_non_positive_sizes_refused(self, spec):
+        with pytest.raises(ConfigError, match="must be positive"):
+            blocks.build_network(spec, 4, seed=0)
+
     def test_num_classes_lower_bound(self):
         with pytest.raises(ConfigError):
             blocks.build_network("tiny-a", 1, seed=0)

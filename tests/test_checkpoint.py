@@ -73,3 +73,14 @@ def test_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"oops")
     with pytest.raises(FormatError, match="trailing"):
         checkpoint.load_entries(path)
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "state.afdk"
+    checkpoint.save_entries(path, {"x": np.asarray([1.0], dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match="too long"):
+        checkpoint.save_entries(path, {"y": np.zeros(3, dtype=np.float32),
+                                       "z" * 70_000: np.zeros(1, dtype=np.float32)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.afdk"]

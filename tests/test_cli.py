@@ -130,3 +130,13 @@ def test_error_exit_code(tmp_path, capsys):
     code = main(["train", "--method", "bogus", "--out-dir", str(tmp_path / "x")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("archs", ["conv:8:3:1-pool:0", "conv:0:3:1"])
+def test_train_refuses_non_positive_block_sizes(tmp_path, capsys, archs):
+    code = main(["train", "--method", "vanilla", "--archs", archs, "--num-classes", "3",
+                 "--epochs", "1", "--per-class-train", "4", "--per-class-test", "2",
+                 "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and archs.split("-")[-1] in err and "Traceback" not in err

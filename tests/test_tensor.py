@@ -15,6 +15,26 @@ def t64(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
 
 
+def _same_bits(a, b):
+    """Byte equality, except that NaNs need only be NaN at the same places:
+    which of two different NaN operands an add returns is not fixed in numpy
+    (it differs between positions of one contiguous add)."""
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and (nan_a == nan_b).all()
+            and a[~nan_a].tobytes() == b[~nan_b].tobytes())
+
+
+def _with_specials(rng, shape, dtype, where):
+    """Normal draws (a third of them -0.0) with -0.0, +0.0, NaN, +-inf and a
+    denormal planted where ``where`` is set."""
+    x = rng.standard_normal(shape).astype(dtype)
+    x[rng.random(shape) < 0.3] = -0.0
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-45], dtype=dtype)
+    hits = where & (rng.random(shape) < 0.25)
+    x[hits] = specials[rng.integers(0, len(specials), int(hits.sum()))]
+    return x
+
+
 class TestLinear:
     def test_identity_weight(self):
         x = Tensor(np.array([[1.0, 2.0]], dtype=np.float32))
@@ -163,6 +183,56 @@ class TestBatchNorm:
         np.testing.assert_allclose(rm, 0.1 * mu, rtol=1e-5)
         np.testing.assert_allclose(rv, 0.9 + 0.1 * var_u, rtol=1e-5)
 
+    @staticmethod
+    def _reference(x, gamma, beta, rm, rv, training, g, eps=1e-5):
+        """The two-pass formula with np.var, and its vjp."""
+        axes = (0, 2, 3)
+        if training:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+            n = x.shape[0] * x.shape[2] * x.shape[3]
+            rm *= 0.9
+            rm += 0.1 * mean
+            rv *= 0.9
+            rv += 0.1 * (var * (n / (n - 1)))
+        else:
+            mean, var = rm.astype(x.dtype), rv.astype(x.dtype)
+        inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        scale = (gamma * inv_std)[None, :, None, None]
+        if training:
+            g_mean = g.mean(axis=axes)[None, :, None, None]
+            gx_mean = (g * xhat).mean(axis=axes)[None, :, None, None]
+            g_x = scale * (g - g_mean - xhat * gx_mean)
+        else:
+            g_x = scale * g
+        return out, g_x, (g * xhat).sum(axis=axes), g.sum(axis=axes), rm, rv
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_two_pass_form(self, dtype, training):
+        rng = np.random.default_rng(11)
+        shape = (6, 4, 5, 3)
+        channel = np.broadcast_to(np.arange(4)[None, :, None, None], shape)
+        # specials in channel 0 of the input and channel 1 of the gradient;
+        # channels 2 and 3 stay finite, with -0.0 throughout
+        x = _with_specials(rng, shape, dtype, channel == 0)
+        g = _with_specials(rng, shape, dtype, channel == 1)
+        gamma = rng.standard_normal(4).astype(dtype)
+        beta = rng.standard_normal(4).astype(dtype)
+        rm0 = rng.standard_normal(4).astype(dtype)
+        rv0 = (rng.random(4) + 0.5).astype(dtype)
+        rm, rv = rm0.copy(), rv0.copy()
+        with np.errstate(invalid="ignore"):
+            out = T.batch_norm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                               Tensor(beta, requires_grad=True), rm, rv, training)
+            got = (out.data, *out._vjp(g), rm, rv)
+            expect = self._reference(x, gamma, beta, rm0.copy(), rv0.copy(), training, g)
+        assert np.isfinite(got[0][:, 2:]).all() and np.isnan(got[0][:, 0]).any()
+        for name, a, b in zip(("out", "g_x", "g_gamma", "g_beta", "running_mean", "running_var"),
+                              got, expect):
+            assert _same_bits(a, b), name
+
 
 class TestActivations:
     def test_leaky_relu_definition(self):
@@ -229,6 +299,31 @@ class TestPooling:
     def test_avg_pool_requires_divisible(self):
         with pytest.raises(ShapeError):
             T.avg_pool2d(Tensor(np.zeros((1, 1, 5, 4), dtype=np.float32)), 2)
+
+    def test_avg_pool_rejects_non_positive_size(self):
+        for k in (0, -2):
+            with pytest.raises(ConfigError):
+                T.avg_pool2d(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avg_pool_bits_match_reshape_mean(self, dtype, k):
+        rng = np.random.default_rng(k)
+        shape = (2, 3, 3 * k, 4 * k)
+        x = _with_specials(rng, shape, dtype, rng.random(shape) < 0.1)
+        x[0, 0] = -0.0  # whole windows of -0.0, as a ReLU of negatives leaves
+        x[1, 0, 0, 0], x[1, 0, 1, 1] = np.inf, -np.inf
+        x[1, 1, 0, 0], x[1, 2, 0, 0] = np.nan, -np.inf
+        g = _with_specials(rng, (2, 3, 3, 4), dtype, rng.random((2, 3, 3, 4)) < 0.2)
+        with np.errstate(invalid="ignore"):
+            out = T.avg_pool2d(Tensor(x, requires_grad=True), k)
+            (g_x,) = out._vjp(g)
+            expect = x.reshape(2, 3, 3, k, 4, k).mean(axis=(3, 5))
+            expect_g = (np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)).astype(dtype)
+        assert np.isnan(expect).any() and np.isinf(expect).any()
+        assert (expect[0, 0].view(np.uint8) == 0).all()  # +0.0, not -0.0
+        assert _same_bits(out.data, expect)
+        assert g_x.tobytes() == expect_g.tobytes()
 
 
 class TestBackward:
