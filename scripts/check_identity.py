@@ -3,11 +3,14 @@
 
 Each run goes through ``peerkd.cli.main(["train", ...])`` into its own
 directory under ``--out`` and leaves a ``metrics.csv`` and ``.afdk``
-checkpoints there. The set covers every training path: vanilla, dml,
-kd_ensemble with K=3, l1 and afd on a tiny-a/tiny-b pair, l1_kd, and afd
-with K=3. Every run uses 3 classes, 3 epochs, batch 32, 64 training and
-16 test images per class, 16x16 images and milestone 1 for both learning
-rates.
+checkpoints there. The set covers every method and training path:
+vanilla, dml, kd_ensemble with K=3, l1 and afd on a tiny-a/tiny-b pair,
+l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher path, with net 0
+of the vanilla run's final checkpoint as teacher) and afd with
+``--adversarial off`` (the logit-only ablation). Every run uses 3 classes,
+3 epochs, batch 32, 64 training and 16 test images per class, 16x16
+images and milestone 1 for both learning rates. Only flags that every
+compared tree accepts are used.
 
 After training, each run's ``checkpoint_final.afdk`` is restored and the
 raw float32 bytes of every net's eval-mode logits on the standardized test
@@ -51,6 +54,10 @@ RUNS = {
     "l1_kd": ["--method", "l1_kd", "--archs", "tiny-a,tiny-a"],
     "afd_mixed": ["--method", "afd", "--archs", "tiny-a,tiny-b"],
     "afd_k3": ["--method", "afd", "--archs", "tiny-a", "--k", "3"],
+    # {out} is the --out directory; the vanilla run above has written the teacher
+    "l1_kd_offline": ["--method", "l1_kd_offline", "--archs", "tiny-a,tiny-a",
+                      "--teacher-checkpoint", "{out}/vanilla/checkpoint_final.afdk"],
+    "afd_logit_only": ["--method", "afd", "--archs", "tiny-a,tiny-a", "--adversarial", "off"],
 }
 
 
@@ -72,6 +79,7 @@ def write_eval_logits(flags, run_dir):
 def run_all(out_root):
     print(f"peerkd from {os.path.dirname(peerkd.__file__)}")
     for name, flags in RUNS.items():
+        flags = [flag.format(out=out_root) for flag in flags]
         run_dir = os.path.join(out_root, name)
         code = main(["train", *flags, *COMMON, "--out-dir", run_dir])
         if code != 0:

@@ -9,9 +9,7 @@ from .blocks import (Discriminator, IdentityTransfer, Network, TransferLayer,
 from .data import (Dataset, RunConfig, batches, build_config, channel_stats,
                    load_idx, load_splits, parse_config_file, save_idx, standardize,
                    synth_blobs)
-from .losses import (SoftDistribution, cross_entropy, kl_mimicry, l1_alignment,
-                     logit_loss, lsgan_d_loss, lsgan_g_loss, softened_kl_divergence,
-                     softened_softmax)
+from .losses import cross_entropy, kl_mimicry, l1_alignment, lsgan_d_loss, lsgan_g_loss
 from .optim import Adam, SGDMomentum, lr_at
 from .tensor import Tensor, backward, no_grad
 from .trainer import (DistillPlan, StepRecord, afd_train_step, baseline_train_step,

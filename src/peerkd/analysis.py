@@ -69,15 +69,17 @@ def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) ->
     return SimilarityReport(l1=l1_sum / n, l2=l2_sum / n, cosine=cos_sum / n, count=n)
 
 
-def grad_cam(net, image, target_class: int) -> Tensor:
-    """Class-activation heatmap at feature-map resolution, values in [0, 1].
+def grad_cam(net, image, target_class: int | None = None):
+    """Class-activation heatmap at feature-map resolution, values in [0, 1],
+    and the class it explains.
 
+    ``target_class`` defaults to the class the eval-mode forward predicts.
     Channel weights are the spatial mean of d(logit[target])/d(feature);
     the map is the ReLU of the weighted channel sum, normalized by its max
     (an all-zero map stays all-zero). Every parameter's ``.grad`` is left as
     it was found.
     """
-    if not 0 <= target_class < net.num_classes:
+    if target_class is not None and not 0 <= target_class < net.num_classes:
         raise DataError(
             f"target_class {target_class} out of range [0, {net.num_classes})"
         )
@@ -89,6 +91,8 @@ def grad_cam(net, image, target_class: int) -> Tensor:
     try:
         with eval_mode(net):
             feature, logit = net.forward(Tensor(arr))
+            if target_class is None:
+                target_class = int(logit.data.argmax())
             backward(mean_all(take_rows(logit, np.asarray([target_class]))))
     finally:
         for p, grad in zip(params, saved):
@@ -99,7 +103,7 @@ def grad_cam(net, image, target_class: int) -> Tensor:
     peak = cam.max()
     if peak > 0:
         cam = cam / peak
-    return Tensor(cam.astype(np.float32))
+    return Tensor(cam.astype(np.float32)), target_class
 
 
 def export_pgm(heatmap, path):

@@ -187,21 +187,12 @@ class Network(Module):
     verify how often each training scheme re-runs inference.
     """
 
-    def __init__(self, arch_id, extractor, feature_channels, head, num_classes):
-        self.arch_id = arch_id
+    def __init__(self, extractor, feature_channels, head, num_classes):
         self.extractor = extractor
         self.feature_channels = feature_channels
         self.head = head
         self.num_classes = num_classes
         self.forward_count = 0
-
-    @property
-    def head_weight(self):
-        return self.head.weight
-
-    @property
-    def head_bias(self):
-        return self.head.bias
 
     def children(self):
         return [(f"ext{i}", layer) for i, layer in enumerate(self.extractor)] + [("head", self.head)]
@@ -221,9 +212,6 @@ class Network(Module):
     def extractor_params(self):
         return {name: p for name, p in self.params().items() if name.startswith("ext")}
 
-    def head_params(self):
-        return {name: p for name, p in self.params().items() if name.startswith("head.")}
-
 
 def build_network(arch_spec: str, num_classes: int, seed: int,
                   in_channels: int = 1, dtype=np.float32) -> Network:
@@ -233,7 +221,7 @@ def build_network(arch_spec: str, num_classes: int, seed: int,
     extractor, feature_channels = _build_extractor(PRESETS.get(arch_spec, arch_spec),
                                                    in_channels, rng, dtype)
     head = _Linear(rng, feature_channels, num_classes, dtype)
-    return Network(arch_spec, extractor, feature_channels, head, num_classes)
+    return Network(extractor, feature_channels, head, num_classes)
 
 
 class Discriminator(Module):

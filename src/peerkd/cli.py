@@ -82,21 +82,13 @@ def _cmd_analyze(args):
 
 
 def _cmd_gradcam(args):
-    config, plan, test_ds = _restored_plan(args)
+    _, plan, test_ds = _restored_plan(args)
     for flag, value, count in (("--net", args.net, len(plan.nets)),
                                ("--index", args.index, test_ds.n)):
         if not 0 <= value < count:
             raise UsageError(f"{flag} {value} out of range [0, {count})")
-    net = plan.nets[args.net]
-    image = test_ds.images[args.index]
-    target = args.target_class
-    if target is None:
-        from .tensor import Tensor, no_grad
-        with no_grad():
-            net.eval()
-            _, z = net.forward(Tensor(image[None]))
-        target = int(z.data.argmax())
-    heatmap = grad_cam(net, image, target)
+    heatmap, target = grad_cam(plan.nets[args.net], test_ds.images[args.index],
+                               args.target_class)
     export_pgm(heatmap, args.out)
     print(f"wrote {args.out} (net {args.net}, sample {args.index}, class {target})")
     return 0
@@ -163,7 +155,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PeerKDError as exc:
+    except (PeerKDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,10 +38,6 @@ class Dataset:
     def n(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.n else 0
-
 
 def _read_exact(f, count, path, offset):
     buf = f.read(count)
@@ -270,8 +266,6 @@ def _coerce_field(name: str, raw: str):
     if name not in ftypes:
         raise ConfigError(f"unknown config key {name!r}")
     raw = raw.strip()
-    if name in _LIST_INT:
-        return [int(v) for v in raw.split(",") if v.strip()] if raw else []
     if name in _LIST_STR:
         return [v.strip() for v in raw.split(",") if v.strip()]
     if name in _BOOLS:
@@ -282,12 +276,16 @@ def _coerce_field(name: str, raw: str):
             return False
         raise ConfigError(f"bad boolean for {name!r}: {raw!r}")
     current = getattr(RunConfig(), name)
-    if isinstance(current, bool):
-        raise ConfigError(f"bad boolean for {name!r}: {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    try:
+        if name in _LIST_INT:
+            return [int(v) for v in raw.split(",") if v.strip()]
+        if isinstance(current, int):
+            return int(raw)
+        if isinstance(current, float):
+            return float(raw)
+    except ValueError:
+        kind = "integer list" if name in _LIST_INT else type(current).__name__
+        raise ConfigError(f"bad {kind} for {name!r}: {raw!r}") from None
     return raw
 
 

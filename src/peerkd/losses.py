@@ -1,9 +1,10 @@
 """Scalar training objectives.
 
-Temperature-softened softmax, cross-entropy, the mutual mimicry loss (KL
-toward a peer's softened distribution, multiplied by T^2 so its gradient
-scale keeps up with the cross-entropy term), least-squares adversarial
-losses for feature-map matching, and the direct L1 alignment baseline.
+Cross-entropy, the mutual mimicry loss (KL toward a peer's or an
+ensemble's temperature-softened distribution, multiplied by T^2 so its
+gradient scale keeps up with the cross-entropy term), least-squares
+adversarial losses for feature-map matching, the direct L1 alignment
+baseline, and a graph-free softmax for evaluation and ensemble targets.
 
 All losses reduce by batch mean, keeping magnitudes batch-size invariant.
 Reference sides (peer logits, peer features) are treated as constants: the
@@ -13,28 +14,11 @@ only into the own-network feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .tensor import Tensor
-
-
-@dataclass
-class SoftDistribution:
-    """Row-stochastic class probabilities at a given temperature."""
-
-    probs: Tensor
-    temperature: float
-
-
-def softened_softmax(z: Tensor, temperature: float) -> SoftDistribution:
-    """softmax(z/T) per row; higher T flattens the distribution."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    return SoftDistribution(T.row_softmax(z, temperature), temperature)
 
 
 def softmax_np(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -59,30 +43,23 @@ def cross_entropy(labels: np.ndarray, z: Tensor) -> Tensor:
     return T.neg(T.mean_all(T.take_rows(logp, labels)))
 
 
-def _log_softmax_np(u: np.ndarray, t) -> np.ndarray:
-    v = u / t
-    v = v - v.max(axis=1, keepdims=True)
-    return v - np.log(np.exp(v).sum(axis=1, keepdims=True))
-
-
 def _kl_node(pt: np.ndarray, log_pt: np.ndarray, student_logits: Tensor,
-             temperature: float, scale: float) -> Tensor:
-    """scale * mean_b KL(p_t || softmax(z_s/T)) as one graph node.
+             temperature: float) -> Tensor:
+    """T^2 * mean_b KL(p_t || softmax(z_s/T)) as one graph node.
 
-    The target distribution is a constant. Applying ``scale`` as the final
-    multiply on both the value and the gradient keeps the T^2 rescaling an
-    exact multiple of the unscaled loss.
+    The target distribution is a constant, so the student logits are the
+    node's only parent.
     """
     zs = student_logits.data
     b = zs.shape[0]
     t = np.asarray(temperature, dtype=zs.dtype)
-    log_ps = _log_softmax_np(zs, t)
+    log_ps = T.log_softmax_np(zs, t)
     ps = np.exp(log_ps)
     # target entries of exactly 0 contribute 0, not 0 * -inf
     safe_log_pt = np.where(pt > 0, log_pt, np.asarray(0.0, dtype=zs.dtype))
     raw = np.sum(pt * (safe_log_pt - log_ps), dtype=zs.dtype) / b
     core = (ps - pt) / (b * t)
-    s = np.asarray(scale, dtype=zs.dtype)
+    s = np.asarray(temperature * temperature, dtype=zs.dtype)
 
     def vjp(g):
         return ((g * s) * core,)
@@ -90,8 +67,9 @@ def _kl_node(pt: np.ndarray, log_pt: np.ndarray, student_logits: Tensor,
     return T._make(s * raw, (student_logits,), vjp, "softened_kl")
 
 
-def _softened_kl(teacher_logits: Tensor, student_logits: Tensor,
-                 temperature: float, scale: float) -> Tensor:
+def kl_mimicry(teacher_logits: Tensor, student_logits: Tensor,
+               temperature: float) -> Tensor:
+    """T^2-scaled softened KL; gradient flows only into the student logits."""
     if teacher_logits.shape != student_logits.shape:
         raise ShapeError(
             f"logit shapes differ: {teacher_logits.shape} vs {student_logits.shape}"
@@ -99,21 +77,8 @@ def _softened_kl(teacher_logits: Tensor, student_logits: Tensor,
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = np.asarray(temperature, dtype=student_logits.data.dtype)
-    log_pt = _log_softmax_np(teacher_logits.data, t)
-    return _kl_node(np.exp(log_pt), log_pt, student_logits, temperature, scale)
-
-
-def softened_kl_divergence(teacher_logits: Tensor, student_logits: Tensor,
-                           temperature: float) -> Tensor:
-    """Unscaled mean KL between softened distributions (teacher constant)."""
-    return _softened_kl(teacher_logits, student_logits, temperature, 1.0)
-
-
-def kl_mimicry(teacher_logits: Tensor, student_logits: Tensor,
-               temperature: float) -> Tensor:
-    """T^2-scaled softened KL; gradient flows only into the student logits."""
-    return _softened_kl(teacher_logits, student_logits, temperature,
-                        temperature * temperature)
+    log_pt = T.log_softmax_np(teacher_logits.data, t)
+    return _kl_node(np.exp(log_pt), log_pt, student_logits, temperature)
 
 
 def kl_probs_mimicry(target_probs: np.ndarray, student_logits: Tensor,
@@ -128,14 +93,7 @@ def kl_probs_mimicry(target_probs: np.ndarray, student_logits: Tensor,
     pt = target_probs.astype(student_logits.data.dtype, copy=False)
     with np.errstate(divide="ignore"):
         log_pt = np.log(pt)
-    return _kl_node(pt, log_pt, student_logits, temperature,
-                    temperature * temperature)
-
-
-def logit_loss(labels: np.ndarray, own_logits: Tensor, peer_logits: Tensor,
-               temperature: float) -> Tensor:
-    """Cross-entropy plus the T^2-scaled mimicry term toward the peer."""
-    return cross_entropy(labels, own_logits) + kl_mimicry(peer_logits, own_logits, temperature)
+    return _kl_node(pt, log_pt, student_logits, temperature)
 
 
 def _check_unit_range(name, scores: Tensor):

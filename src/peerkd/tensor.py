@@ -82,9 +82,6 @@ class Tensor:
         """Same values, severed from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op!r})"
 
@@ -110,12 +107,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def backward(self):
-        backward(self)
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -220,16 +211,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.data * b.data, (a, b), vjp, "mul")
 
 
-def power(a: Tensor, exponent) -> Tensor:
-    e = float(exponent)
-    out = a.data ** e
-
-    def vjp(g):
-        return (g * e * a.data ** (e - 1.0),)
-
-    return _make(out, (a,), vjp, "pow")
-
-
 def absolute(a: Tensor) -> Tensor:
     """|x| elementwise; subgradient 0 at exactly 0."""
 
@@ -302,17 +283,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), vjp, "sigmoid")
 
 
-def pointwise_activation(kind: str, x: Tensor, slope: float = 0.2) -> Tensor:
-    """Dispatch by name: 'relu', 'leaky_relu' (uses slope), or 'sigmoid'."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "leaky_relu":
-        return leaky_relu(x, slope)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ConfigError(f"unknown activation {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # linear / conv / norm / pooling
 # ---------------------------------------------------------------------------
@@ -351,15 +321,18 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
     return windows.reshape(b, c * kh * kw, oh * ow), oh, ow
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with [C_out,C_in,kH,kW] kernel."""
+    """Cross-correlation of NCHW input with [C_out,C_in,kH,kW] kernel, plus a
+    per-output-channel bias."""
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and kernel")
     b, c_in, h, w = x.data.shape
     c_out, kc, kh, kw = kernel.data.shape
     if kc != c_in:
         raise ShapeError(f"conv2d: input has {c_in} channels, kernel expects {kc}")
+    if bias.data.shape != (c_out,):
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv2d: bad stride {stride} or padding {padding}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
@@ -374,14 +347,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     cols, oh, ow = _im2col(xp, kh, kw, stride)
     wmat = kernel.data.reshape(c_out, -1)
     out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
-    if bias is not None:
-        if bias.data.shape != (c_out,):
-            raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
-        out += bias.data[None, :, None, None]
+    out += bias.data[None, :, None, None]
     # the same record-time flags _make keeps: a constant input (a data batch,
     # a detached feature) or a frozen kernel costs no gradient work
-    need_x, need_kernel = x.requires_grad, kernel.requires_grad
-    need_bias = bias is not None and bias.requires_grad
+    need_x, need_kernel, need_bias = x.requires_grad, kernel.requires_grad, bias.requires_grad
     if not need_kernel:
         cols = None
     padded_shape = xp.shape
@@ -400,10 +369,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             g_x = g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
         if need_bias:
             g_bias = go.sum(axis=(0, 2))
-        return (g_x, g_kernel) if bias is None else (g_x, g_kernel, g_bias)
+        return g_x, g_kernel, g_bias
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(out, parents, vjp, "conv2d")
+    return _make(out, (x, kernel, bias), vjp, "conv2d")
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -510,33 +478,27 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def log_softmax_np(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Graph-free log softmax(z/t) per row, max-subtracted for stability."""
+    u = z / t
+    u = u - u.max(axis=1, keepdims=True)
+    return u - np.log(np.exp(u).sum(axis=1, keepdims=True))
+
+
 def row_log_softmax(z: Tensor, temperature: float = 1.0) -> Tensor:
-    """log softmax(z/T) per row of a [B,C] tensor, max-subtracted for stability."""
+    """log softmax(z/T) per row of a [B,C] tensor."""
     if z.data.ndim != 2:
         raise ShapeError("row_log_softmax expects a [B,C] tensor")
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = np.asarray(temperature, dtype=z.data.dtype)
-    u = z.data / t
-    u = u - u.max(axis=1, keepdims=True)
-    logp = u - np.log(np.exp(u).sum(axis=1, keepdims=True))
+    logp = log_softmax_np(z.data, t)
 
     def vjp(g):
         p = np.exp(logp)
         return ((g - p * g.sum(axis=1, keepdims=True)) / t,)
 
     return _make(logp, (z,), vjp, "row_log_softmax")
-
-
-def row_softmax(z: Tensor, temperature: float = 1.0) -> Tensor:
-    """softmax(z/T) per row of a [B,C] tensor."""
-    logp = row_log_softmax(z, temperature)
-    p = np.exp(logp.data)
-
-    def vjp(g):
-        return (g * p,)
-
-    return _make(p, (logp,), vjp, "exp")
 
 
 def reshape(x: Tensor, shape) -> Tensor:

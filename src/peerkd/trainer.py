@@ -462,6 +462,9 @@ def run_experiment(config: RunConfig, resume_from=None):
     if resume_from is not None:
         entries = load_entries(resume_from)
         start_epoch = restore_plan(plan, entries)
+        if start_epoch > config.epochs:
+            raise ConfigError(f"{resume_from}: checkpoint is at epoch {start_epoch}, "
+                              f"past epochs={config.epochs}")
         mean, std = entries["data/mean"], entries["data/std"]
     train_ds = standardize(raw_train, mean, std)
     test_ds = standardize(raw_test, mean, std)

@@ -43,7 +43,8 @@ def test_criterion_1_gradient_suite():
             worst = max(worst, fd_gradcheck(*make(rng), tol=1e-4, h=1e-5))
     elapsed = time.time() - t0
     report(1, elapsed < 60.0,
-           f"(25 ops/losses x 10 instances, worst rel err {worst:.2e}, {elapsed:.1f}s)")
+           f"({len(GRAD_CASES)} ops/losses x 10 instances, worst rel err {worst:.2e}, "
+           f"{elapsed:.1f}s)")
 
 
 # -- criterion 2: loss identities ---------------------------------------------
@@ -112,13 +113,13 @@ def test_criterion_5_phase_isolation_and_forward_counts():
                    for e, d in plan.discriminators.items()}
     feats, logits = forward_all(plan, x)
     records = afd_logit_phase(plan, y, feats, logits)
-    heads_after_a = [{k: p.data.copy() for k, p in net.head_params().items()}
+    heads_after_a = [{k: p.data.copy() for k, p in net.head.params().items()}
                      for net in plan.nets]
     disc_after_a = {e: {k: p.data.copy() for k, p in d.params().items()}
                     for e, d in plan.discriminators.items()}
     afd_adversarial_phase(plan, feats, records)
     heads_ok = all(
-        all(np.array_equal(net.head_params()[k].data, heads_after_a[i][k])
+        all(np.array_equal(net.head.params()[k].data, heads_after_a[i][k])
             for k in heads_after_a[i])
         for i, net in enumerate(plan.nets))
     disc_phase_a_ok = all(

@@ -5,7 +5,7 @@ import pytest
 
 from peerkd import analysis, blocks, data
 from peerkd.errors import ContractError, DataError, ShapeError, UsageError
-from peerkd.tensor import Tensor
+from peerkd.tensor import Tensor, no_grad
 
 
 class _FixedFeatureNet:
@@ -139,8 +139,8 @@ def _passthrough_net(num_classes=2, channels=1, head_rows=None):
     conv.weight.data = w
     conv.bias.data = np.zeros(channels, dtype=np.float32)
     if head_rows is not None:
-        net.head_weight.data = np.asarray(head_rows, dtype=np.float32)
-        net.head_bias.data = np.zeros(num_classes, dtype=np.float32)
+        net.head.weight.data = np.asarray(head_rows, dtype=np.float32)
+        net.head.bias.data = np.zeros(num_classes, dtype=np.float32)
     return net
 
 
@@ -148,7 +148,7 @@ class TestGradCam:
     def test_single_channel_uniform_gradient(self):
         net = _passthrough_net(head_rows=[[2.0], [-1.0]])
         img = np.random.default_rng(5).standard_normal((1, 4, 4)).astype(np.float32)
-        cam = analysis.grad_cam(net, img, target_class=0).data
+        cam = analysis.grad_cam(net, img, target_class=0)[0].data
         expect = np.maximum(img[0], 0.0)
         expect = expect / expect.max()
         np.testing.assert_allclose(cam, expect, atol=1e-6)
@@ -156,7 +156,7 @@ class TestGradCam:
     def test_zero_head_row_gives_zero_map(self):
         net = _passthrough_net(head_rows=[[0.0], [1.0]])
         img = np.abs(np.random.default_rng(6).standard_normal((1, 4, 4))).astype(np.float32)
-        cam = analysis.grad_cam(net, img, target_class=0).data
+        cam = analysis.grad_cam(net, img, target_class=0)[0].data
         np.testing.assert_array_equal(cam, np.zeros((4, 4), dtype=np.float32))
 
     def test_two_channel_hand_fixture(self):
@@ -165,10 +165,10 @@ class TestGradCam:
         conv = net.extractor[0]
         conv.weight.data = np.asarray([[[[3.0]]], [[[-1.0]]]], dtype=np.float32)
         conv.bias.data = np.zeros(2, dtype=np.float32)
-        net.head_weight.data = np.asarray([[1.0, 2.0], [0.0, 0.0]], dtype=np.float32)
-        net.head_bias.data = np.zeros(2, dtype=np.float32)
+        net.head.weight.data = np.asarray([[1.0, 2.0], [0.0, 0.0]], dtype=np.float32)
+        net.head.bias.data = np.zeros(2, dtype=np.float32)
         img = np.asarray([[[1.0, -2.0], [0.5, 4.0]]], dtype=np.float32)
-        cam = analysis.grad_cam(net, img, target_class=0).data
+        cam = analysis.grad_cam(net, img, target_class=0)[0].data
         feat = np.stack([3.0 * img[0], -1.0 * img[0]])
         weights = np.asarray([1.0, 2.0]) / 4.0  # spatial mean of dz/dfeature
         expect = np.maximum(weights[0] * feat[0] + weights[1] * feat[1], 0.0)
@@ -180,9 +180,22 @@ class TestGradCam:
         x = Tensor(np.random.default_rng(7).standard_normal((2, 1, 16, 16)).astype(np.float32))
         net.forward(x)  # populate BN running stats
         img = np.random.default_rng(8).standard_normal((1, 16, 16)).astype(np.float32)
-        cam = analysis.grad_cam(net, img, target_class=1).data
+        cam = analysis.grad_cam(net, img, target_class=1)[0].data
         assert cam.min() >= 0.0 and cam.max() <= 1.0
         assert cam.max() == 1.0 or not cam.any()
+
+    def test_default_target_is_the_prediction(self):
+        net = blocks.build_network("tiny-a", 4, seed=1)
+        net.forward(Tensor(np.random.default_rng(7).standard_normal((2, 1, 16, 16))
+                           .astype(np.float32)))  # populate BN running stats
+        img = np.random.default_rng(9).standard_normal((1, 16, 16)).astype(np.float32)
+        with blocks.eval_mode(net), no_grad():
+            predicted = int(net.forward(Tensor(img[None]))[1].data.argmax())
+        cam, target = analysis.grad_cam(net, img)
+        explicit, explicit_target = analysis.grad_cam(net, img, predicted)
+        assert target == explicit_target == predicted
+        assert cam.data.tobytes() == explicit.data.tobytes()
+        assert net.training
 
     def test_bad_target_class(self):
         net = _passthrough_net()
@@ -202,12 +215,12 @@ class TestGradCam:
 
     def test_keeps_grads_it_did_not_write(self):
         net = _passthrough_net(head_rows=[[2.0], [-1.0]])
-        pending = np.full(net.head_weight.shape, 0.5, dtype=np.float32)
-        net.head_weight.grad = pending
+        pending = np.full(net.head.weight.shape, 0.5, dtype=np.float32)
+        net.head.weight.grad = pending
         analysis.grad_cam(net, np.ones((1, 4, 4), dtype=np.float32), 0)
-        assert net.head_weight.grad is pending
-        np.testing.assert_array_equal(pending, np.full(net.head_weight.shape, 0.5))
-        assert net.head_bias.grad is None
+        assert net.head.weight.grad is pending
+        np.testing.assert_array_equal(pending, np.full(net.head.weight.shape, 0.5))
+        assert net.head.bias.grad is None
 
 
 def _read_pgm(path):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from peerkd import data
+from peerkd.blocks import eval_mode
+from peerkd.checkpoint import load_entries
 from peerkd.cli import main
+from peerkd.tensor import Tensor, no_grad
+from peerkd.trainer import build_plan, restore_plan
 
 
 @pytest.fixture()
@@ -140,3 +144,61 @@ def test_train_refuses_non_positive_block_sizes(tmp_path, capsys, archs):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and archs.split("-")[-1] in err and "Traceback" not in err
+
+
+def _tiny_train(tmp_path):
+    return ["train", "--method", "vanilla", "--archs", "tiny-a", "--num-classes", "3",
+            "--epochs", "1", "--per-class-train", "4", "--per-class-test", "2",
+            "--out-dir", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("flag,value,key", [("--epochs", "abc", "epochs"),
+                                            ("--temperature", "hot", "temperature"),
+                                            ("--milestones-logit", "1,x", "milestones_logit")])
+def test_train_refuses_malformed_values(tmp_path, capsys, flag, value, key):
+    code = main(_tiny_train(tmp_path) + [flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
+def test_train_refuses_malformed_config_file_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("method = vanilla\nbatch_size = big\n")
+    code = main(["train", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "'batch_size'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("train", "--config"), ("eval", "--checkpoint"),
+                                          ("train", "--resume")])
+def test_missing_file_is_an_error_not_a_traceback(tmp_path, capsys, command, flag):
+    missing = tmp_path / "nope"
+    argv = _tiny_train(tmp_path)[1:] + [flag, str(missing)]
+    code = main([command] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(missing) in err and "Traceback" not in err
+
+
+def test_gradcam_default_target_is_the_predicted_class(run_dir, tmp_path, capsys):
+    flags = _common_flags(run_dir) + ["--index", "1", "--net", "1"]
+    assert main(["gradcam"] + flags + ["--out", str(tmp_path / "default.pgm")]) == 0
+    default_line = capsys.readouterr().out
+    config = data.build_config(overrides=dict(
+        method="afd", archs="tiny-a,tiny-a", num_classes="3", batch_size="16",
+        per_class_train="8", per_class_test="4", image_size="16", seed="0"))
+    plan = build_plan(config)
+    entries = load_entries(run_dir / "checkpoint_final.afdk")
+    restore_plan(plan, entries)
+    test = data.standardize(data.load_splits(config)[1], entries["data/mean"],
+                            entries["data/std"])
+    with eval_mode(plan.nets[1]), no_grad():
+        predicted = int(plan.nets[1].forward(Tensor(test.images[1:2]))[1].data.argmax())
+    assert main(["gradcam"] + flags + ["--target-class", str(predicted),
+                                       "--out", str(tmp_path / "explicit.pgm")]) == 0
+    explicit_line = capsys.readouterr().out
+    assert default_line == explicit_line.replace("explicit.pgm", "default.pgm")
+    assert default_line.endswith(f"class {predicted})\n")
+    assert (tmp_path / "default.pgm").read_bytes() == (tmp_path / "explicit.pgm").read_bytes()

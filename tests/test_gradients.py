@@ -117,13 +117,6 @@ def _case_log_softmax(rng):
     return lambda ts: T.mean_all(T.row_log_softmax(ts[0], t) * T.row_log_softmax(ts[0], t)), [x]
 
 
-def _case_softmax(rng):
-    x = rng.standard_normal((3, 5)) * 2
-    t = float(rng.uniform(0.5, 4.0))
-    w = rng.standard_normal((3, 5))
-    return lambda ts: T.sum_all(T.row_softmax(ts[0], t) * Tensor(w)), [x]
-
-
 def _case_take_rows(rng):
     x = rng.standard_normal((4, 6))
     idx = rng.integers(0, 6, size=4)
@@ -140,11 +133,6 @@ def _case_elementwise(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
     return lambda ts: T.mean_all((ts[0] + ts[1]) * (ts[0] - ts[1]) + T.neg(ts[0]) * 0.5), [a, b]
-
-
-def _case_power(rng):
-    x = rng.uniform(0.5, 2.0, (3, 4))
-    return lambda ts: T.mean_all(ts[0] ** 3), [x]
 
 
 def _case_abs(rng):
@@ -174,10 +162,11 @@ def _case_kl_probs(rng):
 
 
 def _case_logit_loss(rng):
+    # the per-peer logit loss as afd_logit_phase builds it
     own = rng.standard_normal((3, 4)) * 2
     peer = Tensor(rng.standard_normal((3, 4)) * 2)  # constant teacher
     y = rng.integers(0, 4, size=3)
-    return lambda ts: losses.logit_loss(y, ts[0], peer, 3.0), [own]
+    return lambda ts: losses.cross_entropy(y, ts[0]) + losses.kl_mimicry(peer, ts[0], 3.0), [own]
 
 
 def _case_lsgan_d(rng):
@@ -233,11 +222,9 @@ GRAD_CASES = [
     ("global_avg_pool", _case_global_avg_pool),
     ("avg_pool2d", _case_avg_pool),
     ("row_log_softmax", _case_log_softmax),
-    ("row_softmax", _case_softmax),
     ("take_rows", _case_take_rows),
     ("reshape", _case_reshape),
     ("elementwise", _case_elementwise),
-    ("power", _case_power),
     ("abs", _case_abs),
     ("cross_entropy", _case_cross_entropy),
     ("kl_mimicry", _case_kl_mimicry),

@@ -11,45 +11,46 @@ from peerkd import tensor as T
 from peerkd.errors import ConfigError, ContractError, DataError, ShapeError
 from peerkd.tensor import Tensor, backward
 
-f32 = np.float32
-
 
 def logits(arr):
     return Tensor(np.asarray(arr, dtype=np.float32))
 
 
+def softened(z, t):
+    """softmax(z/T) per row through the graph op that cross-entropy uses."""
+    return np.exp(T.row_log_softmax(z, t).data)
+
+
 class TestSoftenedSoftmax:
     def test_symmetry(self):
         for t in (0.5, 1.0, 3.0):
-            dist = losses.softened_softmax(logits([[0.0, 0.0]]), t)
-            np.testing.assert_allclose(dist.probs.data, [[0.5, 0.5]])
+            np.testing.assert_allclose(softened(logits([[0.0, 0.0]]), t), [[0.5, 0.5]])
 
     def test_shift_invariance(self):
         for c in (-3.0, 0.0, 7.0):
-            dist = losses.softened_softmax(logits([[c, c, c]]), 2.0)
-            np.testing.assert_allclose(dist.probs.data, [[1 / 3] * 3], rtol=1e-6)
+            np.testing.assert_allclose(softened(logits([[c, c, c]]), 2.0), [[1 / 3] * 3],
+                                       rtol=1e-6)
 
     def test_two_logit_value(self):
-        dist = losses.softened_softmax(logits([[2.0, 0.0]]), 2.0)
-        np.testing.assert_allclose(dist.probs.data, [[0.73106, 0.26894]], atol=1e-4)
+        np.testing.assert_allclose(softened(logits([[2.0, 0.0]]), 2.0),
+                                   [[0.73106, 0.26894]], atol=1e-4)
 
     def test_bad_temperature(self):
         with pytest.raises(ConfigError):
-            losses.softened_softmax(logits([[1.0, 2.0]]), 0.0)
+            T.row_log_softmax(logits([[1.0, 2.0]]), 0.0)
 
     @given(st.lists(st.lists(st.floats(-20, 20), min_size=3, max_size=3),
                     min_size=1, max_size=5),
            st.sampled_from([0.5, 1.0, 3.0, 10.0]))
     @settings(max_examples=60, deadline=None)
     def test_row_stochastic(self, rows, t):
-        dist = losses.softened_softmax(logits(rows), t)
-        p = dist.probs.data
+        p = softened(logits(rows), t)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-5)
         assert (p >= 0).all() and (p <= 1).all()
 
     def test_monotone_smoothing(self):
         z = logits([[3.0, 1.0, -2.0, 0.5]])
-        peaks = [losses.softened_softmax(z, t).probs.data.max() for t in (1.0, 3.0, 10.0)]
+        peaks = [softened(z, t).max() for t in (1.0, 3.0, 10.0)]
         assert peaks[0] > peaks[1] > peaks[2]
 
 
@@ -96,25 +97,26 @@ class TestKLMimicry:
             assert losses.kl_mimicry(a, b, 3.0).item() >= 0.0
 
     def test_t_squared_scaling_exact(self):
+        # T^2 * mean_b KL(softmax(zt/T) || softmax(zs/T)) and its student
+        # gradient T^2 * (ps - pt) / (B T), in float64
         rng = np.random.default_rng(3)
-        zt = logits(rng.standard_normal((4, 5)))
-        zs = Tensor(rng.standard_normal((4, 5)).astype(np.float32), requires_grad=True)
-        scaled = losses.kl_mimicry(zt, zs, 3.0)
-        backward(scaled)
-        g_scaled = zs.grad.copy()
-        zs.grad = None
-        unscaled = losses.softened_kl_divergence(zt, zs, 3.0)
-        backward(unscaled)
-        g_unscaled = zs.grad.copy()
-        assert scaled.data == f32(9.0) * unscaled.data
-        np.testing.assert_array_equal(g_scaled, f32(9.0) * g_unscaled)
+        zt = rng.standard_normal((4, 5))
+        zs = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        for t in (1.0, 3.0, 5.0):
+            zs.grad = None
+            loss = losses.kl_mimicry(Tensor(zt), zs, t)
+            backward(loss)
+            pt, ps = losses.softmax_np(zt, t), losses.softmax_np(zs.data, t)
+            kl = (pt * (np.log(pt) - np.log(ps))).sum(axis=1).mean()
+            assert rel_err(loss.item(), t * t * kl) < 1e-12
+            assert rel_err(zs.grad, t * t * (ps - pt) / (4 * t)) < 1e-12
 
     def test_zero_iff_matching_distributions(self):
         # same softened distribution from different logits (uniform shift)
         a = logits([[1.0, 2.0, 3.0]])
         b = logits([[2.0, 3.0, 4.0]])
-        pa = losses.softened_softmax(a, 3.0).probs.data
-        pb = losses.softened_softmax(b, 3.0).probs.data
+        pa = softened(a, 3.0)
+        pb = softened(b, 3.0)
         assert np.abs(pa - pb).max() < 1e-6
         assert abs(losses.kl_mimicry(a, b, 3.0).item()) < 1e-5
         c = logits([[2.0, 1.0, 3.0]])
@@ -134,27 +136,41 @@ class TestKLMimicry:
             losses.kl_mimicry(logits([[1.0, 2.0]]), logits([[1.0, 2.0, 3.0]]), 3.0)
 
 
+def logit_loss(labels, own, peer, t):
+    """Cross-entropy plus T^2-scaled mimicry toward the peer, the per-peer sum
+    afd_logit_phase builds."""
+    return losses.cross_entropy(labels, own) + losses.kl_mimicry(peer, own, t)
+
+
 class TestLogitLoss:
     def test_peer_equals_own_reduces_to_ce(self):
         z = logits(np.random.default_rng(6).standard_normal((4, 5)))
         y = np.array([0, 1, 2, 3])
-        full = losses.logit_loss(y, z, z, 3.0).item()
+        full = logit_loss(y, z, z, 3.0).item()
         ce = losses.cross_entropy(y, z).item()
         np.testing.assert_allclose(full, ce, atol=1e-7)
 
     def test_both_terms_vanish(self):
         z = logits([[60.0, 0.0], [0.0, 60.0]])
-        loss = losses.logit_loss(np.array([0, 1]), z, z, 3.0)
+        loss = logit_loss(np.array([0, 1]), z, z, 3.0)
         assert loss.item() < 1e-6
 
     def test_recomposition(self):
+        # one add node: value and gradient are the exact sums of the two terms'
         rng = np.random.default_rng(7)
-        own = logits(rng.standard_normal((5, 4)))
+        own = Tensor(rng.standard_normal((5, 4)).astype(np.float32), requires_grad=True)
         peer = logits(rng.standard_normal((5, 4)))
         y = rng.integers(0, 4, 5)
-        whole = losses.logit_loss(y, own, peer, 3.0).item()
-        parts = losses.cross_entropy(y, own).item() + losses.kl_mimicry(peer, own, 3.0).item()
-        assert rel_err(whole, parts) < 1e-6
+        parts = []
+        for loss in (losses.cross_entropy(y, own), losses.kl_mimicry(peer, own, 3.0)):
+            own.grad = None
+            backward(loss)
+            parts.append((loss.data, own.grad))
+        own.grad = None
+        whole = logit_loss(y, own, peer, 3.0)
+        backward(whole)
+        assert whole.data == parts[0][0] + parts[1][0]
+        np.testing.assert_array_equal(own.grad, parts[0][1] + parts[1][1])
 
 
 class TestLSGAN:

@@ -15,6 +15,10 @@ def t64(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
 
 
+def zero_bias(c_out):
+    return Tensor(np.zeros(c_out, dtype=np.float32))
+
+
 def _same_bits(a, b):
     """Byte equality, except that NaNs need only be NaN at the same places:
     which of two different NaN operands an add returns is not fixed in numpy
@@ -92,20 +96,20 @@ class TestConv2d:
     def test_one_by_one_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 4, 4)).astype(np.float32))
         k = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-        out = T.conv2d(x, k)
+        out = T.conv2d(x, k, zero_bias(1))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_all_ones_sum(self):
         x = Tensor(np.ones((1, 1, 5, 5), dtype=np.float32))
         k = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-        out = T.conv2d(x, k)
+        out = T.conv2d(x, k, zero_bias(1))
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 9.0, dtype=np.float32))
 
     def test_strided_padded_against_loop(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
         k = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        out = T.conv2d(Tensor(x), Tensor(k), stride=2, padding=1).data
+        out = T.conv2d(Tensor(x), Tensor(k), zero_bias(3), stride=2, padding=1).data
         assert out.shape == (1, 3, 3, 3)
         assert rel_err(out, conv_loop_oracle(x, k, 2, 1)) < 1e-6
 
@@ -128,7 +132,12 @@ class TestConv2d:
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)),
-                     Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32)))
+                     Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32)), zero_bias(1))
+
+    def test_bias_shape(self):
+        with pytest.raises(ShapeError):
+            T.conv2d(Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32)),
+                     Tensor(np.zeros((2, 1, 1, 1), dtype=np.float32)), zero_bias(1))
 
 
 class TestBatchNorm:
@@ -270,13 +279,6 @@ class TestActivations:
         out = T.sigmoid(x).data
         assert (out > 0.0).all() and (out < 1.0).all()
 
-    def test_dispatcher(self):
-        x = Tensor(np.array([-2.0, 3.0], dtype=np.float32))
-        np.testing.assert_array_equal(T.pointwise_activation("relu", x).data, [0.0, 3.0])
-        with pytest.raises(ConfigError):
-            T.pointwise_activation("tanh", x)
-
-
 class TestPooling:
     def test_global_constant(self):
         x = Tensor(np.full((2, 3, 4, 5), 2.5, dtype=np.float32))
@@ -412,7 +414,7 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             x = Tensor(rng.standard_normal((4, 2, 8, 8)).astype(np.float32), requires_grad=True)
             k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)
-            out = T.conv2d(x, k, stride=2, padding=1)
+            out = T.conv2d(x, k, zero_bias(3), stride=2, padding=1)
             loss = T.mean_all(T.sigmoid(out))
             backward(loss)
             return loss.data.copy(), x.grad.copy(), k.grad.copy()

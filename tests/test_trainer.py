@@ -109,12 +109,12 @@ class TestAfdStep:
         # phase A: discriminators and the adversarial Adam are untouched
         assert same(disc_before, snapshot(plan.discriminators[0].params()))
         assert all(t == 0 for t in plan.adv_opt.t.values())
-        heads = {k: snapshot(net.head_params()) for k, net in enumerate(plan.nets)}
+        heads = {k: snapshot(net.head.params()) for k, net in enumerate(plan.nets)}
         exts = {k: snapshot(net.extractor_params()) for k, net in enumerate(plan.nets)}
         afd_adversarial_phase(plan, feats, records)
         # phase B: heads bitwise unchanged, extractors and discriminators moved
         for k, net in enumerate(plan.nets):
-            assert same(heads[k], snapshot(net.head_params()))
+            assert same(heads[k], snapshot(net.head.params()))
             assert not same(exts[k], snapshot(net.extractor_params()))
         assert not same(disc_before, snapshot(plan.discriminators[0].params()))
 
@@ -170,10 +170,10 @@ class TestBaselines:
         cfg = tiny_cfg(method="vanilla", archs="tiny-a", weight_decay_logit=0.0)
         plan = build_plan(cfg)
         net = plan.nets[0]
-        net.head_weight.data = np.zeros_like(net.head_weight.data)
+        net.head.weight.data = np.zeros_like(net.head.weight.data)
         bias = np.full(cfg.num_classes, -60.0, dtype=np.float32)
         bias[0] = 60.0
-        net.head_bias.data = bias
+        net.head.bias.data = bias
         x, _ = make_batch(cfg)
         y = np.zeros(len(x), dtype=np.int64)  # peaked on the true class
         before = snapshot(net.params())
@@ -355,6 +355,15 @@ class TestRunExperiment:
         keys = [tuple(line.split(",")[:3]) for line in lines[1:]]
         assert len(keys) == 18  # epoch-0 test rows, then a train and test row per net per epoch
         assert len(set(keys)) == len(keys)
+
+    def test_resume_past_epochs_refused_before_any_write(self, tmp_path):
+        cfg = tiny_cfg(method="vanilla", archs="tiny-a", out_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        cfg.epochs = 1
+        with pytest.raises(ConfigError, match="epoch 2"):
+            run_experiment(cfg, resume_from=str(tmp_path / "run" / "checkpoint_final.afdk"))
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == written
 
     def test_rows_on_disk_before_milestone_checkpoint(self, tmp_path, monkeypatch):
         csv_lines = {}
