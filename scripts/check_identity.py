@@ -28,6 +28,18 @@ identical files:
 
 The package is imported from ``PYTHONPATH``, so one copy of this script
 checks any two trees.
+
+A change that re-rounds on purpose (a kernel that sums in another order)
+cannot give identical files against its parent. Split the check: make a
+commit that holds only the intended re-rounding, and diff the full change
+against that commit, which must print IDENTICAL. Everything else in the
+change then provably keeps the bits, and the re-rounding alone is left to
+the test suite and to ``scripts/run_benchmark.py``:
+
+    mkdir /tmp/reround && git archive <re-rounding commit> | tar -x -C /tmp/reround
+    PYTHONPATH=/tmp/reround/src python3 scripts/check_identity.py --out /tmp/ident-r
+    PYTHONPATH=<change>/src python3 scripts/check_identity.py --out /tmp/ident-c
+    diff -r /tmp/ident-r /tmp/ident-c && echo IDENTICAL
 """
 
 import argparse

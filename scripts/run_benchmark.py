@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Desk-scale comparison of co-training methods on the synthetic blob task.
 
-Trains each requested method over several seeds, reports mean final
-accuracies (per-net average and ensemble), and for two-net methods the
-feature-map similarity of the trained pair. The defaults reproduce the
-6-class / 1200-train / 600-test setup used by the acceptance suite.
+Trains each requested method over several seeds and prints one row per
+(method, seed): the final per-net average and ensemble accuracies, the
+ensemble-minus-average margin, and for two-net methods the feature-map
+similarity of the trained pair. A summary row per method follows with the
+seed means and the mean, minimum and maximum margin. The defaults reproduce
+the 6-class / 1200-train / 600-test setup used by the acceptance suite.
 """
 
 import argparse
@@ -74,7 +76,9 @@ def main(argv=None):
     methods = [m.strip() for m in args.methods.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    print(f"{'method':12s} {'net avg':>8s} {'ensemble':>9s} {'cosine':>8s} {'time':>7s}")
+    print(f"{'method':12s} {'seed':>4s} {'net avg':>8s} {'ensemble':>9s} {'margin':>8s} "
+          f"{'cosine':>8s} {'time':>7s}")
+    summary = []
     for method in methods:
         avgs, enss, cosines, times = [], [], [], []
         for seed in seeds:
@@ -84,9 +88,18 @@ def main(argv=None):
             times.append(elapsed)
             if cosine is not None:
                 cosines.append(cosine)
+            cos_txt = f"{cosine:8.4f}" if cosine is not None else "       -"
+            print(f"{method:12s} {seed:4d} {avgs[-1]:8.4f} {ens:9.4f} {ens - avgs[-1]:+8.4f} "
+                  f"{cos_txt} {elapsed:6.1f}s", flush=True)
+        summary.append((method, avgs, enss, cosines, times))
+
+    print(f"\n{'method':12s} {'net avg':>8s} {'ensemble':>9s} {'margin':>8s} {'min':>8s} "
+          f"{'max':>8s} {'cosine':>8s} {'time':>7s}")
+    for method, avgs, enss, cosines, times in summary:
+        margins = np.subtract(enss, avgs)
         cos_txt = f"{np.mean(cosines):8.4f}" if cosines else "       -"
-        print(f"{method:12s} {np.mean(avgs):8.4f} {np.mean(enss):9.4f} "
-              f"{cos_txt} {sum(times):6.1f}s")
+        print(f"{method:12s} {np.mean(avgs):8.4f} {np.mean(enss):9.4f} {margins.mean():+8.4f} "
+              f"{margins.min():+8.4f} {margins.max():+8.4f} {cos_txt} {sum(times):6.1f}s")
     return 0
 
 

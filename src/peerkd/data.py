@@ -9,6 +9,7 @@ convnets but not trivially saturated.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -233,14 +234,18 @@ class RunConfig:
                 raise ConfigError("l1_kd_offline expects exactly 2 networks (student, teacher)")
             if not self.teacher_checkpoint:
                 raise ConfigError("l1_kd_offline requires teacher_checkpoint")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_logit < 0 or self.lr_adv < 0 or not 0 < self.lr_factor <= 1:
-            raise ConfigError("learning rates must be >= 0 and factor in (0, 1]")
+        for name in ("lr_logit", "lr_adv"):
+            lr = getattr(self, name)
+            if not (lr >= 0 and math.isfinite(lr)):
+                raise ConfigError(f"{name} must be >= 0 and finite, got {lr}")
+        if not 0 < self.lr_factor <= 1:
+            raise ConfigError(f"lr_factor must be in (0, 1], got {self.lr_factor}")
         for name in ("milestones_logit", "milestones_adv"):
             ms = getattr(self, name)
             if list(ms) != sorted(ms):

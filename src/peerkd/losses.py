@@ -74,7 +74,7 @@ def kl_mimicry(teacher_logits: Tensor, student_logits: Tensor,
         raise ShapeError(
             f"logit shapes differ: {teacher_logits.shape} vs {student_logits.shape}"
         )
-    if temperature <= 0:
+    if not temperature > 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = np.asarray(temperature, dtype=student_logits.data.dtype)
     log_pt = T.log_softmax_np(teacher_logits.data, t)
@@ -84,7 +84,7 @@ def kl_mimicry(teacher_logits: Tensor, student_logits: Tensor,
 def kl_probs_mimicry(target_probs: np.ndarray, student_logits: Tensor,
                      temperature: float) -> Tensor:
     """T^2-scaled KL from a fixed probability target (e.g. an ensemble mean)."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     if target_probs.shape != student_logits.shape:
         raise ShapeError(

@@ -3,10 +3,10 @@
 The two training phases own disjoint optimizer instances even where their
 parameter sets overlap, so momentum and moment estimates never leak across
 phases. Parameter updates assign fresh arrays instead of writing in place,
-so arrays a recorded op saved (its inputs, a conv kernel) keep their
-pre-step values. That does not make a graph recorded before a step fully
-pre-step: the batch-norm and linear vjps read ``gamma.data`` and
-``weight.data`` when ``backward`` runs, and so see the updated values.
+so the arrays a recorded op saved (its inputs, a conv kernel, a linear
+weight, a batch-norm gamma) keep their pre-step values: a graph recorded
+before a step is differentiated at the pre-step parameters, whenever its
+backward runs.
 """
 
 from __future__ import annotations

@@ -6,9 +6,15 @@ vector-Jacobian-product closure and records which inputs required a
 gradient at that moment; ``backward`` replays the recorded graph in reverse
 topological order and routes gradients by those recorded flags, so clearing
 ``requires_grad`` while an op is recorded keeps that input out of the
-gradient even if the flag is set again before ``backward`` runs. Gradients
-accumulate into ``Tensor.grad`` until explicitly cleared, so multi-phase
-optimization controls exactly when they reset.
+gradient even if the flag is set again before ``backward`` runs.
+
+A vjp closure holds the arrays its op used at record time (inputs, the
+conv kernel, the linear weight, the batch-norm gamma) and never reads a
+parameter's ``.data`` at replay. Optimizers assign fresh arrays instead of
+writing into them, so a backward that runs after a step still
+differentiates the graph exactly as it was recorded. Gradients accumulate
+into ``Tensor.grad`` until explicitly cleared, so multi-phase optimization
+controls exactly when they reset.
 """
 
 from __future__ import annotations
@@ -201,23 +207,26 @@ def mul(a: Tensor, b) -> Tensor:
     if b.data.shape not in ((), a.data.shape):
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
 
+    ad, bd = a.data, b.data
+
     def vjp(g):
-        ga = g * b.data
-        gb = g * a.data
-        if not b.data.shape:
+        ga = g * bd
+        gb = g * ad
+        if not bd.shape:
             gb = np.sum(gb, dtype=g.dtype)
         return ga, gb
 
-    return _make(a.data * b.data, (a, b), vjp, "mul")
+    return _make(ad * bd, (a, b), vjp, "mul")
 
 
 def absolute(a: Tensor) -> Tensor:
     """|x| elementwise; subgradient 0 at exactly 0."""
+    ad = a.data
 
     def vjp(g):
-        return (g * np.sign(a.data),)
+        return (g * np.sign(ad),)
 
-    return _make(np.abs(a.data), (a,), vjp, "abs")
+    return _make(np.abs(ad), (a,), vjp, "abs")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -298,10 +307,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.data.shape != (weight.data.shape[0],):
         raise ShapeError(f"linear: bias shape {bias.data.shape} != ({weight.data.shape[0]},)")
-    out = x.data @ weight.data.T + bias.data
+    xd, w = x.data, weight.data
+    out = xd @ w.T + bias.data
 
     def vjp(g):
-        return g @ weight.data, g.T @ x.data, g.sum(axis=0)
+        return g @ w, g.T @ xd, g.sum(axis=0)
 
     return _make(out, (x, weight, bias), vjp, "linear")
 
@@ -353,19 +363,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     need_x, need_kernel, need_bias = x.requires_grad, kernel.requires_grad, bias.requires_grad
     if not need_kernel:
         cols = None
-    padded_shape = xp.shape
+    hp, wp = xp.shape[2:]
 
     def vjp(g):
         go = g.reshape(b, c_out, oh * ow)
         g_x = g_kernel = g_bias = None
         if need_kernel:
-            g_kernel = np.einsum("bol,bkl->ok", go, cols).reshape(kernel.data.shape)
+            g_kernel = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(c_out, kc, kh, kw)
         if need_x:
             g_cols = np.matmul(wmat.T, go).reshape(b, c_in, kh, kw, oh, ow)
-            g_xp = np.zeros(padded_shape, dtype=x.data.dtype)
+            # col2im sums the taps in an [H, W, B, C] buffer, so each tap's add
+            # runs along B*C-long rows, not output-width-long ones; the taps add
+            # in the same order from +0.0, so every sum keeps its bits
+            g_xp = np.zeros((hp, wp, b, c_in), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):
-                    g_xp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += g_cols[:, :, u, v]
+                    g_xp[u:u + stride * oh:stride, v:v + stride * ow:stride] += \
+                        g_cols[:, :, u, v].transpose(2, 3, 0, 1)
+            g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
             g_x = g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
         if need_bias:
             g_bias = go.sum(axis=(0, 2))
@@ -412,13 +427,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         xhat = x.data - running_mean.astype(x.data.dtype, copy=False)[None, :, None, None]
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
     xhat *= inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat
+    gamma_data = gamma.data
+    out = gamma_data[None, :, None, None] * xhat
     out += beta.data[None, :, None, None]
 
     def vjp(g):
         g_beta = g.sum(axis=axes)
         g_gamma = (g * xhat).sum(axis=axes)
-        scale = (gamma.data * inv_std)[None, :, None, None]
+        scale = (gamma_data * inv_std)[None, :, None, None]
         if training:
             g_x = g - (g_beta / n)[None, :, None, None]
             g_x -= xhat * (g_gamma / n)[None, :, None, None]
@@ -489,7 +505,7 @@ def row_log_softmax(z: Tensor, temperature: float = 1.0) -> Tensor:
     """log softmax(z/T) per row of a [B,C] tensor."""
     if z.data.ndim != 2:
         raise ShapeError("row_log_softmax expects a [B,C] tensor")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = np.asarray(temperature, dtype=z.data.dtype)
     logp = log_softmax_np(z.data, t)

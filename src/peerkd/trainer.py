@@ -10,9 +10,10 @@ optimizations: phase A steps every network synchronously on cross-entropy
 plus the peer mimicry term, then phase B reuses the same feature maps to
 step each edge's discriminator on the least-squares real/fake objective and
 each extractor (plus transfer layer) on the fooling objective, under a
-separate Adam with its own schedule. The fooling loss is recorded before
-the discriminator's update in the same batch, but its gradient is replayed
-after it (see ``afd_adversarial_phase``).
+separate Adam with its own schedule. Every vjp uses the values recorded
+with its op, so the fooling gradient is taken at the parameters of the
+forward pass: before phase A's SGD step for the extractor and before the
+discriminator's update in the same batch (see ``afd_adversarial_phase``).
 """
 
 from __future__ import annotations
@@ -252,10 +253,12 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records=None):
 
     Features come detached into the discriminator loss; the discriminator
     is frozen inside the fooling loss, so that loss's backward writes no
-    discriminator gradient. The fooling pass is recorded before the
-    discriminator moves, but its backward runs after the step: the conv
-    vjps use the kernels saved at record time, while the batch-norm vjp
-    reads the discriminator's gamma at replay, i.e. after its update.
+    discriminator gradient. The fooling gradient is pre-update throughout:
+    its pass is recorded before the discriminator moves and its backward
+    runs after the step, but every vjp (conv kernels, batch-norm gammas)
+    uses the values saved at record time. So it is the gradient through
+    the discriminator as it scored ``own``, and through the extractor as
+    it was when it produced ``feats``, before phase A's SGD step.
     """
     by_net = {r.net_id: r for r in records or []}
     plan.adv_opt.zero_grad()

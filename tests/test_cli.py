@@ -162,6 +162,17 @@ def test_train_refuses_malformed_values(tmp_path, capsys, flag, value, key):
     assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value,key", [("--temperature", "nan", "temperature"),
+                                            ("--lr-logit", "nan", "lr_logit"),
+                                            ("--lr-adv", "inf", "lr_adv")])
+def test_train_refuses_non_finite_values_up_front(tmp_path, capsys, flag, value, key):
+    code = main(_tiny_train(tmp_path) + [flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} must be") and "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_train_refuses_malformed_config_file_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("method = vanilla\nbatch_size = big\n")

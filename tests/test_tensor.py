@@ -69,6 +69,17 @@ class TestLinear:
                 expect[i, o] = acc
         assert rel_err(out, expect) < 1e-6
 
+    def test_vjp_uses_the_recorded_weight(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
+        out = T.linear(x, w, b)
+        g = rng.standard_normal((4, 2)).astype(np.float32)
+        before = out._vjp(g)
+        w.data = w.data * np.float32(3.0)  # an optimizer step assigns a fresh array
+        assert [a.tobytes() for a in out._vjp(g)] == [a.tobytes() for a in before]
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.linear(Tensor(np.zeros((1, 3), dtype=np.float32)),
@@ -129,6 +140,46 @@ class TestConv2d:
         g_x, g_k, g_b = out._vjp(g)
         assert g_x.shape == x.shape and g_k is None and g_b is None
 
+    @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_float32_kernel_gradient_against_float64_oracle(self, k, stride, padding):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 16, 10, 10)).astype(np.float32)
+        kernel = rng.standard_normal((12, 16, k, k)).astype(np.float32)
+        out = T.conv2d(Tensor(x), Tensor(kernel, requires_grad=True), zero_bias(12),
+                       stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g_kernel = out._vjp(g)[1]
+        assert g_kernel.dtype == np.float32
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh, ow = out.shape[2:]
+        expect = np.zeros(kernel.shape)
+        for u in range(k):
+            for v in range(k):
+                window = xp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+                expect[:, :, u, v] = np.einsum("bohw,bchw->oc", g.astype(np.float64), window)
+        err = np.linalg.norm(g_kernel - expect) / np.linalg.norm(expect)
+        assert err <= 1e-5
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_input_gradient_bits_match_tap_loop(self, k, stride, padding):
+        """col2im adds the taps in row-major order from +0.0, whatever layout
+        it sums in; -0.0 gradient entries included."""
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((3, 5, 6, 6)).astype(np.float32), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((4, 5, k, k)).astype(np.float32))
+        out = T.conv2d(x, kernel, zero_bias(4), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g[g < -0.5] = -0.0
+        b, _, oh, ow = out.shape
+        g_cols = np.matmul(kernel.data.reshape(4, -1).T, g.reshape(b, 4, -1))
+        g_cols = g_cols.reshape(b, 5, k, k, oh, ow)
+        expect = np.zeros((b, 5, 6 + 2 * padding, 6 + 2 * padding), dtype=np.float32)
+        for u in range(k):
+            for v in range(k):
+                expect[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += g_cols[:, :, u, v]
+        expect = expect[:, :, padding:padding + 6, padding:padding + 6]
+        assert _same_bits(out._vjp(g)[0], expect)
+
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)),
@@ -171,6 +222,19 @@ class TestBatchNorm:
         out = T.batch_norm(x, g, b, rm, rv, training=True).data
         assert np.abs(out.mean(axis=(0, 2, 3))).max() < 1e-4
         assert np.abs(out.var(axis=(0, 2, 3)) - 1.0).max() < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_vjp_uses_the_recorded_gamma(self, training):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((4, 3, 5, 5)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        rm, rv = self._stats(3)
+        out = T.batch_norm(x, gamma, beta, rm, rv, training)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        before = out._vjp(g)
+        gamma.data = gamma.data * np.float32(3.0)  # an optimizer step assigns a fresh array
+        assert [a.tobytes() for a in out._vjp(g)] == [a.tobytes() for a in before]
 
     def test_eval_without_stats_raises(self):
         x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))

@@ -118,6 +118,29 @@ class TestAfdStep:
             assert not same(exts[k], snapshot(net.extractor_params()))
         assert not same(disc_before, snapshot(plan.discriminators[0].params()))
 
+    @pytest.mark.parametrize("skipped", ["disc_step", "sgd_step"])
+    def test_fooling_gradient_is_taken_before_every_update(self, skipped):
+        """Phase B's generator gradients are the same bytes when D's Adam step
+        or phase A's SGD step does nothing: the fooling backward sees the
+        discriminator and the extractor as the forward pass recorded them."""
+        cfg = tiny_cfg(archs="tiny-a,tiny-b")
+        x, y = make_batch(cfg)
+        grads = []
+        for skip in (False, True):
+            plan = build_plan(cfg)
+            if skip and skipped == "disc_step":
+                disc = {n for names in plan.disc_param_names.values() for n in names}
+                step = plan.adv_opt.step
+                plan.adv_opt.step = lambda names: step([n for n in names if n not in disc])
+            elif skip:
+                plan.logit_opt.step = lambda: None
+            feats, logits = forward_all(plan, x)
+            records = afd_logit_phase(plan, y, feats, logits)
+            afd_adversarial_phase(plan, feats, records)
+            grads.append({name: plan.adv_opt.params[name].grad.tobytes()
+                          for names in plan.gen_param_names.values() for name in names})
+        assert grads[0] == grads[1]
+
     def test_one_forward_per_net_per_batch(self):
         cfg = tiny_cfg()
         plan = build_plan(cfg)
