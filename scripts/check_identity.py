@@ -17,7 +17,9 @@ raw float32 bytes of every net's eval-mode logits on the standardized test
 split are written, net after net, to ``eval_logits.bin``. That covers the
 eval-mode kernels (batch norm on running statistics, pooling) to the last
 bit; a last-bit change there almost never moves a top-1 fraction in
-``metrics.csv``.
+``metrics.csv``. The ``afd_mixed`` and ``afd_k3`` runs also write one
+``peerkd gradcam`` heatmap, ``gradcam.pgm``, of net 1 on test sample 0 from
+that checkpoint, so the Grad-CAM backward is part of the comparison.
 
 A change that is meant to leave training and evaluation unchanged must give
 identical files:
@@ -72,6 +74,8 @@ RUNS = {
     "afd_logit_only": ["--method", "afd", "--archs", "tiny-a,tiny-a", "--adversarial", "off"],
 }
 
+GRADCAM_RUNS = ("afd_mixed", "afd_k3")
+
 
 def write_eval_logits(flags, run_dir):
     """Restore the run's final checkpoint and write its test-split logits."""
@@ -97,6 +101,13 @@ def run_all(out_root):
         if code != 0:
             return code
         write_eval_logits([*flags, *COMMON], run_dir)
+        if name in GRADCAM_RUNS:
+            code = main(["gradcam", *flags, *COMMON,
+                         "--checkpoint", os.path.join(run_dir, "checkpoint_final.afdk"),
+                         "--net", "1", "--index", "0",
+                         "--out", os.path.join(run_dir, "gradcam.pgm")])
+            if code != 0:
+                return code
     return 0
 
 

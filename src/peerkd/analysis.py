@@ -76,8 +76,9 @@ def grad_cam(net, image, target_class: int | None = None):
     ``target_class`` defaults to the class the eval-mode forward predicts.
     Channel weights are the spatial mean of d(logit[target])/d(feature);
     the map is the ReLU of the weighted channel sum, normalized by its max
-    (an all-zero map stays all-zero). Every parameter's ``.grad`` is left as
-    it was found.
+    (an all-zero map stays all-zero). The backward targets the feature map
+    alone, so no parameter's ``.grad`` is written and the layers below the
+    feature are not replayed.
     """
     if target_class is not None and not 0 <= target_class < net.num_classes:
         raise DataError(
@@ -86,19 +87,12 @@ def grad_cam(net, image, target_class: int | None = None):
     arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
-    params = list(net.params().values())
-    saved = [p.grad for p in params]
-    try:
-        with eval_mode(net):
-            feature, logit = net.forward(Tensor(arr))
-            if target_class is None:
-                target_class = int(logit.data.argmax())
-            backward(mean_all(take_rows(logit, np.asarray([target_class]))))
-    finally:
-        for p, grad in zip(params, saved):
-            p.grad = grad
-    grads = feature.grad[0] if feature.grad is not None else np.zeros_like(feature.data[0])
-    weights = grads.mean(axis=(1, 2))
+    with eval_mode(net):
+        feature, logit = net.forward(Tensor(arr))
+    if target_class is None:
+        target_class = int(logit.data.argmax())
+    backward(mean_all(take_rows(logit, np.asarray([target_class]))), [feature])
+    weights = feature.grad[0].mean(axis=(1, 2))
     cam = np.maximum(np.einsum("c,chw->hw", weights, feature.data[0]), 0.0)
     peak = cam.max()
     if peak > 0:

@@ -1,12 +1,12 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Values are numpy arrays (float32 for training, float64 for gradient
-checking). Every differentiable op links its output to its inputs with a
-vector-Jacobian-product closure and records which inputs required a
-gradient at that moment; ``backward`` replays the recorded graph in reverse
-topological order and routes gradients by those recorded flags, so clearing
-``requires_grad`` while an op is recorded keeps that input out of the
-gradient even if the flag is set again before ``backward`` runs.
+checking). Every differentiable op whose inputs include one that requires a
+gradient links its output to its inputs with a vector-Jacobian-product
+closure. ``backward(loss, wrt)`` replays only the part of that graph that
+leads from ``loss`` to the tensors in ``wrt`` and writes ``.grad`` on those
+tensors alone, as ``torch.autograd.grad`` or a JAX ``vjp`` would: which
+parameters a loss trains is said at the call, not by flags on the graph.
 
 A vjp closure holds the arrays its op used at record time (inputs, the
 conv kernel, the linear weight, the batch-norm gamma) and never reads a
@@ -48,10 +48,9 @@ class Tensor:
     activations in recorded graphs stay consistent.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_needs", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_prev", "_vjp", "_op")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _prev=(), _needs=(), _vjp=None,
-                 _op=""):
+    def __init__(self, data, requires_grad=False, dtype=None, _prev=(), _vjp=None, _op=""):
         if (dtype is None and isinstance(data, (np.ndarray, np.floating))
                 and data.dtype in (np.float32, np.float64)):
             arr = np.asarray(data)
@@ -61,7 +60,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._prev = _prev
-        self._needs = _needs
         self._vjp = _vjp
         self._op = _op
 
@@ -122,13 +120,10 @@ def _coerce(value, like: Tensor) -> Tensor:
 
 
 def _make(data, parents, vjp, op):
-    """Wrap an op result; when the graph is live and some parent requires a
-    gradient, record the vjp and each parent's ``requires_grad`` as of now."""
-    if _grad_enabled:
-        needs = tuple([p.requires_grad for p in parents])
-        if True in needs:
-            return Tensor(data, requires_grad=True, _prev=tuple(parents), _needs=needs,
-                          _vjp=vjp, _op=op)
+    """Wrap an op result; record the vjp when the graph is live and some
+    parent requires a gradient."""
+    if _grad_enabled and any([p.requires_grad for p in parents]):
+        return Tensor(data, requires_grad=True, _prev=tuple(parents), _vjp=vjp, _op=op)
     return Tensor(data, _op=op)
 
 
@@ -151,34 +146,46 @@ def topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor):
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor the loss
-    depends on through inputs that required a gradient.
+def backward(loss: Tensor, wrt):
+    """Accumulate d(loss)/d(t) into ``t.grad`` for each tensor ``t`` in ``wrt``.
 
-    Gradients follow the ``requires_grad`` flags as they stood when each op
-    was recorded, not as they stand now: a parameter that was constant when
-    an op used it receives nothing through that op. Adjoints are tracked per
-    call, so running backward twice from one loss doubles every gradient
-    rather than compounding stale intermediates.
+    Only the recorded ops from which some ``wrt`` tensor can be reached are
+    replayed, and no other tensor's ``.grad`` is written: parameters left out
+    of ``wrt``, intermediates and the ops below the targets are untouched.
+    Adjoints are tracked per call, so running backward twice from one loss
+    doubles every gradient.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    targets = list(wrt)
+    for t in targets:
+        if not t.requires_grad:
+            raise UsageError(f"backward: {t!r} in wrt does not require a gradient")
     if not loss.requires_grad:
         return
-    order = topo_order(loss)
+    # an op is replayed when one of its inputs leads to a target
+    wanted = {id(t) for t in targets}
+    reach = set(wanted)
+    replay = []
+    for node in topo_order(loss):
+        if any([id(p) in reach for p in node._prev]):
+            reach.add(id(node))
+            replay.append(node)
     adjoint = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = adjoint.pop(id(node), None)
+    for node in reversed(replay):
+        key = id(node)
+        g = adjoint.get(key) if key in wanted else adjoint.pop(key, None)
         if g is None:
             continue
-        node.grad = g.copy() if node.grad is None else node.grad + g
-        if node._vjp is None:
-            continue
-        for parent, need, pg in zip(node._prev, node._needs, node._vjp(g)):
-            if pg is None or not need:
+        for parent, pg in zip(node._prev, node._vjp(g)):
+            if pg is None or id(parent) not in reach:
                 continue
             acc = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if acc is None else acc + pg
+    for t in targets:
+        g = adjoint.pop(id(t), None)
+        if g is not None:
+            t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +365,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     wmat = kernel.data.reshape(c_out, -1)
     out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
     out += bias.data[None, :, None, None]
-    # the same record-time flags _make keeps: a constant input (a data batch,
-    # a detached feature) or a frozen kernel costs no gradient work
+    # a constant input (a data batch, a detached feature) or kernel costs no
+    # gradient work
     need_x, need_kernel, need_bias = x.requires_grad, kernel.requires_grad, bias.requires_grad
     if not need_kernel:
         cols = None
@@ -474,7 +481,7 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
         raise ShapeError("avg_pool2d expects NCHW input")
     if k < 1:
         raise ConfigError(f"avg_pool2d: pool size must be >= 1, got {k}")
-    b, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
     d = x.data
@@ -482,9 +489,7 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
     out /= k * k
 
     def vjp(g):
-        g_x = np.empty((b, c, h // k, k, w // k, k), dtype=g.dtype)
-        g_x[...] = (g / (k * k))[:, :, :, None, :, None]
-        return (g_x.reshape(b, c, h, w),)
+        return (np.repeat(np.repeat(g / (k * k), k, axis=3), k, axis=2),)
 
     return _make(out, (x,), vjp, "avg_pool2d")
 

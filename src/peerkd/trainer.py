@@ -10,10 +10,12 @@ optimizations: phase A steps every network synchronously on cross-entropy
 plus the peer mimicry term, then phase B reuses the same feature maps to
 step each edge's discriminator on the least-squares real/fake objective and
 each extractor (plus transfer layer) on the fooling objective, under a
-separate Adam with its own schedule. Every vjp uses the values recorded
-with its op, so the fooling gradient is taken at the parameters of the
-forward pass: before phase A's SGD step for the extractor and before the
-discriminator's update in the same batch (see ``afd_adversarial_phase``).
+separate Adam with its own schedule. Every backward names the parameters
+it trains, so no loss writes a gradient anywhere else. Every vjp uses the
+values recorded with its op, so the fooling gradient is taken at the
+parameters of the forward pass: before phase A's SGD step for the extractor
+and before the discriminator's update in the same batch (see
+``afd_adversarial_phase``).
 """
 
 from __future__ import annotations
@@ -166,22 +168,6 @@ def build_plan(config: RunConfig) -> DistillPlan:
     )
 
 
-@contextlib.contextmanager
-def _frozen_params(module):
-    """Treat a module's parameters as constants in the ops recorded inside
-    the block: ``backward`` routes by the flags each op recorded, so those
-    ops send no gradient to the module, also when it runs after the block."""
-    params = list(module.params().values())
-    saved = [p.requires_grad for p in params]
-    for p in params:
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p, was in zip(params, saved):
-            p.requires_grad = was
-
-
 def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise NonFiniteError(f"{what} is non-finite ({value}); aborting step")
@@ -242,7 +228,7 @@ def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
             loss = loss + _mean_losses([
                 L.l1_alignment(plan.transfer_layers[e].forward(feats[k]), feats[src])
                 for e, src in incoming])
-        backward(loss)
+        backward(loss, plan.logit_opt.params.values())
         records.append(rec)
     plan.logit_opt.step()
     return records
@@ -251,35 +237,36 @@ def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
 def afd_adversarial_phase(plan: DistillPlan, feats, records=None):
     """Phase B: per edge, discriminator step then extractor+transfer step.
 
-    Features come detached into the discriminator loss; the discriminator
-    is frozen inside the fooling loss, so that loss's backward writes no
-    discriminator gradient. The fooling gradient is pre-update throughout:
-    its pass is recorded before the discriminator moves and its backward
-    runs after the step, but every vjp (conv kernels, batch-norm gammas)
-    uses the values saved at record time. So it is the gradient through
-    the discriminator as it scored ``own``, and through the extractor as
-    it was when it produced ``feats``, before phase A's SGD step.
+    Each backward names the parameters it trains: the discriminator loss
+    goes to the discriminator alone (its features come detached), and the
+    fooling loss to the extractor and transfer layer alone. The fooling
+    gradient is pre-update throughout: its pass is recorded before the
+    discriminator moves and its backward runs after the step, but every vjp
+    (conv kernels, batch-norm gammas) uses the values saved at record time.
+    So it is the gradient through the discriminator as it scored ``own``,
+    and through the extractor as it was when it produced ``feats``, before
+    phase A's SGD step.
     """
     by_net = {r.net_id: r for r in records or []}
-    plan.adv_opt.zero_grad()
+    opt = plan.adv_opt
+    opt.zero_grad()
     for e, (src, dst) in enumerate(plan.edges):
         disc = plan.discriminators[e]
         transfer = plan.transfer_layers[e]
         own = transfer.forward(feats[dst])
         d_peer = disc.forward(feats[src].detach())
         d_own_detached = disc.forward(own.detach())
-        with _frozen_params(disc):
-            d_own_live = disc.forward(own)
+        d_own_live = disc.forward(own)
 
         d_loss = L.lsgan_d_loss(d_peer, d_own_detached)
         d_val = _finite(d_loss.item(), f"loss_d[edge{e}]")
-        backward(d_loss)
-        plan.adv_opt.step(plan.disc_param_names[e])
+        backward(d_loss, [opt.params[n] for n in plan.disc_param_names[e]])
+        opt.step(plan.disc_param_names[e])
 
         g_loss = L.lsgan_g_loss(d_own_live)
         g_val = _finite(g_loss.item(), f"loss_g[edge{e}]")
-        backward(g_loss)
-        plan.adv_opt.step(plan.gen_param_names[e])
+        backward(g_loss, [opt.params[n] for n in plan.gen_param_names[e]])
+        opt.step(plan.gen_param_names[e])
 
         if dst in by_net:
             by_net[dst].loss_d = d_val
@@ -310,7 +297,7 @@ def _dml_step(plan, x, y):
                          loss_kl=_finite(kl.item(), f"loss_kl[net{k}]"),
                          top1=_batch_top1(own_logits, y))
         plan.logit_opt.zero_grad()
-        backward(ce + kl)
+        backward(ce + kl, plan.logit_opt.params.values())
         plan.logit_opt.step()
         records.append(rec)
     return records

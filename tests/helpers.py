@@ -28,7 +28,7 @@ def fd_gradcheck(fn, arrays, tol=FD_TOL, h=FD_H):
         return float(fn([Tensor(m, requires_grad=False) for m in mats]).data)
 
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    backward(fn(leaves))
+    backward(fn(leaves), leaves)
     worst = 0.0
     for i, base in enumerate(arrays):
         analytic = leaves[i].grad

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rel_err
-from peerkd import blocks, losses, trainer
+from peerkd import blocks, losses
 from peerkd import tensor as T
 from peerkd.errors import ConfigError, ContractError, DataError, ShapeError
 from peerkd.tensor import Tensor, backward
@@ -105,7 +105,7 @@ class TestKLMimicry:
         for t in (1.0, 3.0, 5.0):
             zs.grad = None
             loss = losses.kl_mimicry(Tensor(zt), zs, t)
-            backward(loss)
+            backward(loss, [zs])
             pt, ps = losses.softmax_np(zt, t), losses.softmax_np(zs.data, t)
             kl = (pt * (np.log(pt) - np.log(ps))).sum(axis=1).mean()
             assert rel_err(loss.item(), t * t * kl) < 1e-12
@@ -127,7 +127,7 @@ class TestKLMimicry:
                     requires_grad=True)
         zs = Tensor(np.random.default_rng(5).standard_normal((3, 4)).astype(np.float32),
                     requires_grad=True)
-        backward(losses.kl_mimicry(zt, zs, 3.0))
+        backward(losses.kl_mimicry(zt, zs, 3.0), [zt, zs])
         assert zt.grad is None
         assert zs.grad is not None
 
@@ -164,11 +164,11 @@ class TestLogitLoss:
         parts = []
         for loss in (losses.cross_entropy(y, own), losses.kl_mimicry(peer, own, 3.0)):
             own.grad = None
-            backward(loss)
+            backward(loss, [own])
             parts.append((loss.data, own.grad))
         own.grad = None
         whole = logit_loss(y, own, peer, 3.0)
-        backward(whole)
+        backward(whole, [own])
         assert whole.data == parts[0][0] + parts[1][0]
         np.testing.assert_array_equal(own.grad, parts[0][1] + parts[1][1])
 
@@ -236,7 +236,7 @@ class TestL1Alignment:
                    requires_grad=True)
         b = Tensor(np.random.default_rng(12).standard_normal((1, 2, 2, 2)).astype(np.float32),
                    requires_grad=True)
-        backward(losses.l1_alignment(a, b))
+        backward(losses.l1_alignment(a, b), [a, b])
         assert a.grad is not None
         assert b.grad is None
 
@@ -257,27 +257,27 @@ class TestGradientFlowIsolation:
         feature, _ = net.forward(x)
         d_peer = disc.forward(peer.detach())
         d_own = disc.forward(feature.detach())
-        backward(losses.lsgan_d_loss(d_peer, d_own))
+        everything = [*net.params().values(), *disc.params().values()]
+        backward(losses.lsgan_d_loss(d_peer, d_own), everything)
         assert all(p.grad is None for p in net.extractor_params().values())
         assert any(p.grad is not None for p in disc.params().values())
 
     def test_g_loss_reaches_only_generator(self):
         net, disc, x, _ = self._setup()
         feature, _ = net.forward(x)
-        for p in disc.params().values():
-            p.requires_grad = False
-        backward(losses.lsgan_g_loss(disc.forward(feature)))
+        backward(losses.lsgan_g_loss(disc.forward(feature)), net.extractor_params().values())
         assert all(p.grad is None for p in disc.params().values())
-        assert any(p.grad is not None for p in net.extractor_params().values())
+        assert all(p.grad is not None for p in net.extractor_params().values())
 
-    def test_g_loss_frozen_at_record_time_skips_discriminator(self):
-        # the fooling loss is recorded under _frozen_params and replayed after
-        # the block has restored requires_grad, as afd_adversarial_phase does
-        net, disc, x, _ = self._setup()
+    def test_g_loss_keeps_discriminator_grads_from_d_loss(self):
+        # phase B's order: D's backward writes D's grads, then the fooling
+        # backward runs through the same live D and must leave them as they are
+        net, disc, x, peer = self._setup()
         feature, _ = net.forward(x)
-        with trainer._frozen_params(disc):
-            g_loss = losses.lsgan_g_loss(disc.forward(feature))
-        assert all(p.requires_grad for p in disc.params().values())
-        backward(g_loss)
-        assert all(p.grad is None for p in disc.params().values())
+        d_loss = losses.lsgan_d_loss(disc.forward(peer), disc.forward(feature.detach()))
+        g_loss = losses.lsgan_g_loss(disc.forward(feature))
+        backward(d_loss, disc.params().values())
+        d_grads = {name: p.grad for name, p in disc.params().items()}
+        backward(g_loss, net.extractor_params().values())
+        assert all(p.grad is d_grads[name] for name, p in disc.params().items())
         assert all(p.grad is not None for p in net.extractor_params().values())

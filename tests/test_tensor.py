@@ -395,31 +395,38 @@ class TestPooling:
 class TestBackward:
     def test_sum_of_squares(self):
         x = t64([1.0, -2.0, 3.0], grad=True)
-        backward(T.sum_all(x * x))
+        backward(T.sum_all(x * x), [x])
         np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0])
 
     def test_sigmoid_grad_quarter(self):
         x = t64([0.0], grad=True)
-        backward(T.sum_all(T.sigmoid(x)))
+        backward(T.sum_all(T.sigmoid(x)), [x])
         np.testing.assert_allclose(x.grad, [0.25])
 
     def test_non_scalar_raises(self):
         x = t64([1.0, 2.0], grad=True)
         with pytest.raises(UsageError):
-            backward(x * x)
+            backward(x * x, [x])
+
+    def test_wrt_entry_without_requires_grad_raises(self):
+        x = t64([1.0], grad=True)
+        c = t64([2.0])
+        with pytest.raises(UsageError):
+            backward(T.sum_all(x * c), [x, c])
+        assert x.grad is None  # refused before anything is written
 
     def test_accumulation_doubles(self):
         x = t64([1.5, -0.5], grad=True)
         loss = T.sum_all(x * x)
-        backward(loss)
+        backward(loss, [x])
         first = x.grad.copy()
-        backward(loss)
+        backward(loss, [x])
         np.testing.assert_array_equal(x.grad, 2.0 * first)
 
     def test_unreachable_leaf_untouched(self):
         x = t64([1.0], grad=True)
         y = t64([2.0], grad=True)
-        backward(T.sum_all(x * x))
+        backward(T.sum_all(x * x), [x, y])
         assert y.grad is None
 
     def test_linearity_power_of_two_exact(self):
@@ -429,41 +436,50 @@ class TestBackward:
             w = Tensor(rng.standard_normal((2, 4)).astype(np.float32), requires_grad=True)
             b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
             loss = T.mean_all(T.sigmoid(T.linear(x, w, b)))
-            backward(loss)
+            backward(loss, [x, w, b])
             base = {id(p): p.grad.copy() for p in (x, w, b)}
             for p in (x, w, b):
                 p.grad = None
             loss2 = T.linear(x, w, b)
             loss2 = T.mean_all(T.sigmoid(loss2)) * c
-            backward(loss2)
+            backward(loss2, [x, w, b])
             for p in (x, w, b):
                 np.testing.assert_array_equal(p.grad, np.float32(c) * base[id(p)])
 
     def test_linearity_general_constant(self):
         x = t64(np.random.default_rng(12).standard_normal(6), grad=True)
         loss = T.mean_all(x * x * x)
-        backward(loss)
+        backward(loss, [x])
         base = x.grad.copy()
         x.grad = None
-        backward(T.mean_all(x * x * x) * 3.7)
+        backward(T.mean_all(x * x * x) * 3.7, [x])
         assert rel_err(x.grad, 3.7 * base) < 1e-12
 
     def test_grad_populated_on_intermediates(self):
         x = t64([2.0], grad=True)
         y = x * x
-        backward(T.sum_all(y * y))
-        assert y.grad is not None
+        backward(T.sum_all(y * y), [y, x])
         np.testing.assert_allclose(y.grad, [8.0])  # d(y^2)/dy = 2y = 8
+        np.testing.assert_allclose(x.grad, [32.0])  # d(x^4)/dx = 4x^3
 
-    def test_flag_cleared_at_record_time_routes_no_gradient(self):
+    def test_leaf_outside_wrt_keeps_no_grad(self):
         x = t64([3.0], grad=True)
         w = t64([2.0], grad=True)
-        w.requires_grad = False
-        loss = T.sum_all(x * w)
-        w.requires_grad = True
-        backward(loss)
+        y = x * w
+        backward(T.sum_all(y), [x])
         np.testing.assert_array_equal(x.grad, [2.0])
-        assert w.grad is None
+        assert w.grad is None and y.grad is None
+
+    def test_ops_below_the_targets_are_not_replayed(self):
+        x = t64([1.0, 2.0], grad=True)
+        below = x * x
+        feature = below + 1.0
+        replayed = []
+        vjp = below._vjp
+        below._vjp = lambda g: replayed.append(g) or vjp(g)
+        backward(T.sum_all(feature * feature), [feature])
+        np.testing.assert_allclose(feature.grad, [4.0, 10.0])  # 2 * (x^2 + 1)
+        assert replayed == [] and x.grad is None and below.grad is None
 
     def test_no_grad_suppresses_graph(self):
         x = t64([1.0], grad=True)
@@ -480,7 +496,7 @@ class TestDeterminism:
             k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)
             out = T.conv2d(x, k, zero_bias(3), stride=2, padding=1)
             loss = T.mean_all(T.sigmoid(out))
-            backward(loss)
+            backward(loss, [x, k])
             return loss.data.copy(), x.grad.copy(), k.grad.copy()
 
         a = run()

@@ -141,6 +141,50 @@ class TestAfdStep:
                           for names in plan.gen_param_names.values() for name in names})
         assert grads[0] == grads[1]
 
+    @pytest.mark.parametrize("archs,k", [("tiny-a,tiny-b", 2), ("tiny-a", 3)])
+    def test_each_adam_step_uses_the_only_gradient_written(self, archs, k):
+        """Phase B's discriminator and fooling backwards write disjoint
+        parameters: every ``.grad`` left after the step is the one its Adam
+        step used, so no later backward of the phase added to it."""
+        cfg = tiny_cfg(archs=archs, k=k)
+        plan = build_plan(cfg)
+        x, y = make_batch(cfg)
+        used = {}
+        step = plan.adv_opt.step
+
+        def recording_step(names):
+            used.update({n: plan.adv_opt.params[n].grad for n in names})
+            step(names)
+
+        plan.adv_opt.step = recording_step
+        afd_train_step(plan, x, y)
+        assert used.keys() == plan.adv_opt.params.keys()
+        for name, p in plan.adv_opt.params.items():
+            assert p.grad is used[name] is not None
+
+    @pytest.mark.parametrize("archs,k", [("tiny-a,tiny-b", 2), ("tiny-a", 3)])
+    def test_step_writes_grads_on_parameters_only(self, monkeypatch, archs, k):
+        """Features, transfer outputs, discriminator scores and losses keep
+        ``.grad is None`` through a whole step; only optimizer parameters get one."""
+        cfg = tiny_cfg(archs=archs, k=k)
+        plan = build_plan(cfg)
+        x, y = make_batch(cfg)
+        made = []
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        afd_train_step(plan, x, y)
+        recorded = [t for t in made if t._vjp is not None]
+        ops = {t._op for t in recorded}
+        assert {"conv2d", "sigmoid", "mean", "softened_kl"} <= ops
+        assert all(t.grad is None for t in made)
+        for opt in (plan.logit_opt, plan.adv_opt):
+            assert any(p.grad is not None for p in opt.params.values())
+
     def test_one_forward_per_net_per_batch(self):
         cfg = tiny_cfg()
         plan = build_plan(cfg)
