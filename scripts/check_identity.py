@@ -4,10 +4,11 @@
 Each run goes through ``peerkd.cli.main(["train", ...])`` into its own
 directory under ``--out`` and leaves a ``metrics.csv`` and ``.afdk``
 checkpoints there. The set covers every method and training path:
-vanilla, dml, kd_ensemble with K=3, l1 and afd on a tiny-a/tiny-b pair,
-l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher path, with net 0
-of the vanilla run's final checkpoint as teacher) and afd with
-``--adversarial off`` (the logit-only ablation). Every run uses 3 classes,
+vanilla, vanilla with K=1 (no edges, a one-net ensemble), dml, dml with
+K=3 (``_dml_step`` on a ring), kd_ensemble with K=3, l1 and afd on a
+tiny-a/tiny-b pair, l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher
+path, with net 0 of the vanilla run's final checkpoint as teacher) and afd
+with ``--adversarial off`` (the logit-only ablation). Every run uses 3 classes,
 3 epochs, batch 32, 64 training and 16 test images per class, 16x16
 images and milestone 1 for both learning rates. Only flags that every
 compared tree accepts are used.
@@ -62,7 +63,9 @@ COMMON = ["--num-classes", "3", "--epochs", "3", "--batch-size", "32",
 
 RUNS = {
     "vanilla": ["--method", "vanilla", "--archs", "tiny-a,tiny-a"],
+    "vanilla_single": ["--method", "vanilla", "--archs", "tiny-a"],
     "dml": ["--method", "dml", "--archs", "tiny-a,tiny-a"],
+    "dml_k3": ["--method", "dml", "--archs", "tiny-a", "--k", "3"],
     "kd_ensemble_k3": ["--method", "kd_ensemble", "--archs", "tiny-a", "--k", "3"],
     "l1_mixed": ["--method", "l1", "--archs", "tiny-a,tiny-b"],
     "l1_kd": ["--method", "l1_kd", "--archs", "tiny-a,tiny-a"],

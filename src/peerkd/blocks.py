@@ -30,8 +30,6 @@ PRESETS = {
 }
 
 LEAKY_SLOPE = 0.2
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 
 
 class Module:
@@ -130,7 +128,7 @@ class _BatchNorm(Module):
 
     def __call__(self, x, training):
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                            training, momentum=BN_MOMENTUM, eps=BN_EPS)
+                            training)
 
 
 class _ReLU(Module):
@@ -146,10 +144,11 @@ class _Pool(Module):
         return T.avg_pool2d(x, self.k)
 
 
-def _build_extractor(spec: str, in_channels: int, rng, dtype):
-    """The layers of a block spec, and the channel count after the last one."""
+def _build_extractor(spec: str, rng):
+    """The float32 layers of a block spec over single-channel input, and the
+    channel count after the last one."""
     layers = []
-    channels = in_channels
+    channels = 1
     for token in spec.split("-"):
         parts = token.split(":")
         kind = parts[0]
@@ -166,10 +165,10 @@ def _build_extractor(spec: str, in_channels: int, rng, dtype):
         if min(sizes, default=1) < 1:
             raise ConfigError(f"block token {token!r}: sizes must be positive")
         if kind == "conv":
-            layers.append(_Conv(rng, channels, *sizes, dtype))
+            layers.append(_Conv(rng, channels, *sizes, np.float32))
             channels = sizes[0]
         elif kind == "bn":
-            layers.append(_BatchNorm(channels, dtype))
+            layers.append(_BatchNorm(channels, np.float32))
         elif kind == "relu":
             layers.append(_ReLU())
         else:
@@ -213,14 +212,12 @@ class Network(Module):
         return {name: p for name, p in self.params().items() if name.startswith("ext")}
 
 
-def build_network(arch_spec: str, num_classes: int, seed: int,
-                  in_channels: int = 1, dtype=np.float32) -> Network:
+def build_network(arch_spec: str, num_classes: int, seed: int) -> Network:
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
     rng = np.random.default_rng(seed)
-    extractor, feature_channels = _build_extractor(PRESETS.get(arch_spec, arch_spec),
-                                                   in_channels, rng, dtype)
-    head = _Linear(rng, feature_channels, num_classes, dtype)
+    extractor, feature_channels = _build_extractor(PRESETS.get(arch_spec, arch_spec), rng)
+    head = _Linear(rng, feature_channels, num_classes, np.float32)
     return Network(extractor, feature_channels, head, num_classes)
 
 

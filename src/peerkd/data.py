@@ -96,8 +96,7 @@ def save_idx(dataset: Dataset, path_images, path_labels):
 TEMPLATE_AMPLITUDE = 0.45
 
 
-def class_templates(num_classes: int, image_size: int,
-                    amplitude: float = TEMPLATE_AMPLITUDE) -> np.ndarray:
+def class_templates(num_classes: int, image_size: int) -> np.ndarray:
     """One [image_size, image_size] blob pattern per class.
 
     Class c lights up the quadrants named by the bits of c+1, as Gaussian
@@ -116,7 +115,8 @@ def class_templates(num_classes: int, image_size: int,
         pattern = c + 1
         for q, (cy, cx) in enumerate(centers):
             if pattern & (1 << q):
-                bump = amplitude * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma ** 2))
+                bump = TEMPLATE_AMPLITUDE * np.exp(
+                    -((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma ** 2))
                 templates[c] = np.maximum(templates[c], bump.astype(np.float32))
     return templates
 
@@ -219,6 +219,10 @@ class RunConfig:
         return len(self.resolved_archs())
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.k and len(self.archs) not in (1, self.k):
@@ -234,16 +238,16 @@ class RunConfig:
                 raise ConfigError("l1_kd_offline expects exactly 2 networks (student, teacher)")
             if not self.teacher_checkpoint:
                 raise ConfigError("l1_kd_offline requires teacher_checkpoint")
-        if not (self.temperature > 0 and math.isfinite(self.temperature)):
-            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("lr_logit", "lr_adv"):
             lr = getattr(self, name)
-            if not (lr >= 0 and math.isfinite(lr)):
-                raise ConfigError(f"{name} must be >= 0 and finite, got {lr}")
+            if not lr >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {lr}")
         if not 0 < self.lr_factor <= 1:
             raise ConfigError(f"lr_factor must be in (0, 1], got {self.lr_factor}")
         for name in ("milestones_logit", "milestones_adv"):
@@ -261,37 +265,29 @@ class RunConfig:
         return self
 
 
-_LIST_INT = ("milestones_logit", "milestones_adv")
-_LIST_STR = ("archs",)
-_BOOLS = ("adversarial",)
-
-
 def _coerce_field(name: str, raw: str):
-    ftypes = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    if name not in ftypes:
+    """``raw`` parsed as the kind of the field's default: a bool, a comma-separated
+    list of that list's item type, or an int, float or str."""
+    if name not in {f.name for f in dataclasses.fields(RunConfig)}:
         raise ConfigError(f"unknown config key {name!r}")
     raw = raw.strip()
-    if name in _LIST_STR:
-        return [v.strip() for v in raw.split(",") if v.strip()]
-    if name in _BOOLS:
+    default = getattr(RunConfig(), name)
+    if isinstance(default, bool):
         low = raw.lower()
         if low in ("1", "true", "on", "yes"):
             return True
         if low in ("0", "false", "off", "no"):
             return False
         raise ConfigError(f"bad boolean for {name!r}: {raw!r}")
-    current = getattr(RunConfig(), name)
+    is_list = isinstance(default, list)
+    kind = type(default[0]) if is_list else type(default)
     try:
-        if name in _LIST_INT:
-            return [int(v) for v in raw.split(",") if v.strip()]
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
+        if is_list:
+            return [kind(v.strip()) for v in raw.split(",") if v.strip()]
+        return kind(raw)
     except ValueError:
-        kind = "integer list" if name in _LIST_INT else type(current).__name__
-        raise ConfigError(f"bad {kind} for {name!r}: {raw!r}") from None
-    return raw
+        what = f"{kind.__name__} list" if is_list else kind.__name__
+        raise ConfigError(f"bad {what} for {name!r}: {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:

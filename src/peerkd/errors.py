@@ -21,10 +21,6 @@ class FormatError(PeerKDError, ValueError):
     """Malformed on-disk file (IDX, checkpoint). Message names the byte offset."""
 
 
-class StateError(PeerKDError, RuntimeError):
-    """Operation invoked in an invalid state (e.g. eval-mode BN without stats)."""
-
-
 class ContractError(PeerKDError, ValueError):
     """Caller violated a documented value-range contract."""
 

@@ -21,7 +21,7 @@ from .errors import ConfigError, ContractError, DataError, ShapeError
 from .tensor import Tensor
 
 
-def softmax_np(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def softmax_np(z: np.ndarray, temperature: float) -> np.ndarray:
     """Graph-free softmax for evaluation and ensemble targets."""
     u = z / temperature
     u = u - u.max(axis=1, keepdims=True)
@@ -39,7 +39,7 @@ def cross_entropy(labels: np.ndarray, z: Tensor) -> Tensor:
             f"labels must lie in [0, {z.shape[1]}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    logp = T.row_log_softmax(z, 1.0)
+    logp = T.row_log_softmax(z)
     return T.neg(T.mean_all(T.take_rows(logp, labels)))
 
 
@@ -53,7 +53,7 @@ def _kl_node(pt: np.ndarray, log_pt: np.ndarray, student_logits: Tensor,
     zs = student_logits.data
     b = zs.shape[0]
     t = np.asarray(temperature, dtype=zs.dtype)
-    log_ps = T.log_softmax_np(zs, t)
+    log_ps = T.log_softmax_np(zs / t)
     ps = np.exp(log_ps)
     # target entries of exactly 0 contribute 0, not 0 * -inf
     safe_log_pt = np.where(pt > 0, log_pt, np.asarray(0.0, dtype=zs.dtype))
@@ -77,7 +77,7 @@ def kl_mimicry(teacher_logits: Tensor, student_logits: Tensor,
     if not temperature > 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = np.asarray(temperature, dtype=student_logits.data.dtype)
-    log_pt = T.log_softmax_np(teacher_logits.data, t)
+    log_pt = T.log_softmax_np(teacher_logits.data / t)
     return _kl_node(np.exp(log_pt), log_pt, student_logits, temperature)
 
 

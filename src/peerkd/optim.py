@@ -52,20 +52,21 @@ class SGDMomentum:
 
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.1):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.1):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.t = {name: 0 for name in self.params}
 
-    def zero_grad(self, names=None):
-        for name in (self.params if names is None else names):
-            self.params[name].grad = None
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
 
     def step(self, names=None):
         """Update the named parameters (all by default); skips absent grads.

@@ -23,7 +23,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, UsageError
+from .errors import ConfigError, ShapeError, UsageError
 
 _grad_enabled = True
 
@@ -50,12 +50,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_prev", "_vjp", "_op")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _prev=(), _vjp=None, _op=""):
-        if (dtype is None and isinstance(data, (np.ndarray, np.floating))
-                and data.dtype in (np.float32, np.float64)):
+    def __init__(self, data, requires_grad=False, _prev=(), _vjp=None, _op=""):
+        if isinstance(data, (np.ndarray, np.floating)) and data.dtype in (np.float32, np.float64):
             arr = np.asarray(data)
         else:
-            arr = np.asarray(data, dtype=dtype or np.float32)
+            arr = np.asarray(data, dtype=np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -397,7 +396,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: np.ndarray | None, running_var: np.ndarray | None,
+               running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization over (B, H, W) of an NCHW tensor.
 
@@ -421,15 +420,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         mean = x.data.mean(axis=axes)
         xhat = x.data - mean[None, :, None, None]
         var = (xhat * xhat).mean(axis=axes)
-        if running_mean is not None:
-            unbiased = var * (n / (n - 1)) if n > 1 else var
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
     else:
-        if running_mean is None or running_var is None:
-            raise StateError("batch_norm: eval mode requires populated running stats")
         var = running_var.astype(x.data.dtype, copy=False)
         xhat = x.data - running_mean.astype(x.data.dtype, copy=False)[None, :, None, None]
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
@@ -499,25 +495,21 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def log_softmax_np(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Graph-free log softmax(z/t) per row, max-subtracted for stability."""
-    u = z / t
-    u = u - u.max(axis=1, keepdims=True)
+def log_softmax_np(z: np.ndarray) -> np.ndarray:
+    """Graph-free log softmax per row, max-subtracted for stability."""
+    u = z - z.max(axis=1, keepdims=True)
     return u - np.log(np.exp(u).sum(axis=1, keepdims=True))
 
 
-def row_log_softmax(z: Tensor, temperature: float = 1.0) -> Tensor:
-    """log softmax(z/T) per row of a [B,C] tensor."""
+def row_log_softmax(z: Tensor) -> Tensor:
+    """log softmax per row of a [B,C] tensor."""
     if z.data.ndim != 2:
         raise ShapeError("row_log_softmax expects a [B,C] tensor")
-    if not temperature > 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    t = np.asarray(temperature, dtype=z.data.dtype)
-    logp = log_softmax_np(z.data, t)
+    logp = log_softmax_np(z.data)
 
     def vjp(g):
         p = np.exp(logp)
-        return ((g - p * g.sum(axis=1, keepdims=True)) / t,)
+        return (g - p * g.sum(axis=1, keepdims=True),)
 
     return _make(logp, (z,), vjp, "row_log_softmax")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,9 @@ class DistillPlan:
     temperature: float
     logit_opt: SGDMomentum
     adv_opt: Adam | None
-    config: RunConfig
-    frozen: set = field(default_factory=set)
-    disc_param_names: dict = field(default_factory=dict)
-    gen_param_names: dict = field(default_factory=dict)
+    frozen: set  # indices of nets that take no step (the offline teacher)
+    disc_param_names: dict  # edge index -> adv_opt names of its discriminator
+    gen_param_names: dict  # edge index -> adv_opt names of its extractor and transfer layer
 
     def incoming(self, k: int):
         """(edge index, source net) for each edge into net ``k``."""
@@ -163,8 +162,7 @@ def build_plan(config: RunConfig) -> DistillPlan:
         method=config.method, nets=nets, edges=edges,
         discriminators=discriminators, transfer_layers=transfer_layers,
         temperature=config.temperature, logit_opt=logit_opt, adv_opt=adv_opt,
-        config=config, frozen=frozen,
-        disc_param_names=disc_param_names, gen_param_names=gen_param_names,
+        frozen=frozen, disc_param_names=disc_param_names, gen_param_names=gen_param_names,
     )
 
 
@@ -234,7 +232,7 @@ def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
     return records
 
 
-def afd_adversarial_phase(plan: DistillPlan, feats, records=None):
+def afd_adversarial_phase(plan: DistillPlan, feats, records):
     """Phase B: per edge, discriminator step then extractor+transfer step.
 
     Each backward names the parameters it trains: the discriminator loss
@@ -247,7 +245,7 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records=None):
     and through the extractor as it was when it produced ``feats``, before
     phase A's SGD step.
     """
-    by_net = {r.net_id: r for r in records or []}
+    by_net = {r.net_id: r for r in records}
     opt = plan.adv_opt
     opt.zero_grad()
     for e, (src, dst) in enumerate(plan.edges):
@@ -289,7 +287,10 @@ def _dml_step(plan, x, y):
         if k == 0:
             own_logits = logits[k]
         else:
-            _, own_logits = plan.nets[k].forward(xt)  # fresh pass after peers moved
+            # net k has not stepped yet, so this pass gives forward_all's logits again
+            # (and updates its BN running stats a second time); the target below is
+            # still each peer's pre-step logits[src], not DML's post-step peer
+            _, own_logits = plan.nets[k].forward(xt)
         ce = L.cross_entropy(y, own_logits)
         kl = _mean_losses([L.kl_mimicry(logits[src], own_logits, plan.temperature)
                            for _, src in plan.incoming(k)])

@@ -164,7 +164,11 @@ def test_train_refuses_malformed_values(tmp_path, capsys, flag, value, key):
 
 @pytest.mark.parametrize("flag,value,key", [("--temperature", "nan", "temperature"),
                                             ("--lr-logit", "nan", "lr_logit"),
-                                            ("--lr-adv", "inf", "lr_adv")])
+                                            ("--lr-adv", "inf", "lr_adv"),
+                                            ("--momentum", "nan", "momentum"),
+                                            ("--weight-decay-logit", "nan", "weight_decay_logit"),
+                                            ("--weight-decay-adv", "inf", "weight_decay_adv"),
+                                            ("--noise-std", "nan", "noise_std")])
 def test_train_refuses_non_finite_values_up_front(tmp_path, capsys, flag, value, key):
     code = main(_tiny_train(tmp_path) + [flag, value])
     err = capsys.readouterr().err

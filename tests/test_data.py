@@ -1,5 +1,6 @@
 """IDX I/O, synthetic data, batching, and config parsing."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -178,6 +179,20 @@ class TestRunConfig:
         assert cfg.temperature == 2.5
         assert cfg.milestones_logit == [2, 3]
         assert cfg.adversarial is False
+
+    def test_file_of_default_strings_builds_the_defaults(self, tmp_path):
+        # each value is parsed as the kind of its field's default
+        lines = []
+        for f in dataclasses.fields(data.RunConfig):
+            value = getattr(data.RunConfig(), f.name)
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            lines.append(f"{f.name} = {text}\n")
+        cfg_path = tmp_path / "defaults.cfg"
+        cfg_path.write_text("".join(lines))
+        cfg = data.build_config(data.parse_config_file(cfg_path))
+        assert cfg == data.RunConfig()
+        assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == \
+            [type(getattr(data.RunConfig(), f.name)) for f in dataclasses.fields(cfg)]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

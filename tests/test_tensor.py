@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import rel_err
 from peerkd import tensor as T
-from peerkd.errors import ConfigError, ShapeError, StateError, UsageError
+from peerkd.errors import ConfigError, ShapeError, UsageError
 from peerkd.tensor import Tensor, backward, no_grad
 
 
@@ -235,13 +235,6 @@ class TestBatchNorm:
         before = out._vjp(g)
         gamma.data = gamma.data * np.float32(3.0)  # an optimizer step assigns a fresh array
         assert [a.tobytes() for a in out._vjp(g)] == [a.tobytes() for a in before]
-
-    def test_eval_without_stats_raises(self):
-        x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
-        g = Tensor(np.ones(2, dtype=np.float32))
-        b = Tensor(np.zeros(2, dtype=np.float32))
-        with pytest.raises(StateError):
-            T.batch_norm(x, g, b, None, None, training=False)
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(8)
