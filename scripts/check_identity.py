@@ -7,10 +7,13 @@ checkpoints there. The set covers every method and training path:
 vanilla, vanilla with K=1 (no edges, a one-net ensemble), dml, dml with
 K=3 (``_dml_step`` on a ring), kd_ensemble with K=3, l1 and afd on a
 tiny-a/tiny-b pair, l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher
-path, with net 0 of the vanilla run's final checkpoint as teacher) and afd
-with ``--adversarial off`` (the logit-only ablation). Every run uses 3 classes,
+path, with net 0 of the vanilla run's final checkpoint as teacher), afd
+with ``--adversarial off`` (the logit-only ablation) and afd on a tiny-a pair
+that reads IDX files (``--data-source idx``). Every run uses 3 classes,
 3 epochs, batch 32, 64 training and 16 test images per class, 16x16
-images and milestone 1 for both learning rates. Only flags that every
+images and milestone 1 for both learning rates. The IDX files are written
+first by ``peerkd synth-data`` into ``idx_data``, with seed 0 for the
+training split and seed 1 for the test split. Only flags that every
 compared tree accepts are used.
 
 After training, each run's ``checkpoint_final.afdk`` is restored and the
@@ -18,9 +21,10 @@ raw float32 bytes of every net's eval-mode logits on the standardized test
 split are written, net after net, to ``eval_logits.bin``. That covers the
 eval-mode kernels (batch norm on running statistics, pooling) to the last
 bit; a last-bit change there almost never moves a top-1 fraction in
-``metrics.csv``. The ``afd_mixed`` and ``afd_k3`` runs also write one
-``peerkd gradcam`` heatmap, ``gradcam.pgm``, of net 1 on test sample 0 from
-that checkpoint, so the Grad-CAM backward is part of the comparison.
+``metrics.csv``. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs also
+write one ``peerkd gradcam`` heatmap, ``gradcam.pgm``, of net 1 on test
+sample 0 from that checkpoint, so the Grad-CAM backward is part of the
+comparison.
 
 A change that is meant to leave training and evaluation unchanged must give
 identical files:
@@ -75,9 +79,32 @@ RUNS = {
     "l1_kd_offline": ["--method", "l1_kd_offline", "--archs", "tiny-a,tiny-a",
                       "--teacher-checkpoint", "{out}/vanilla/checkpoint_final.afdk"],
     "afd_logit_only": ["--method", "afd", "--archs", "tiny-a,tiny-a", "--adversarial", "off"],
+    # the files written by write_idx_data
+    "afd_idx": ["--method", "afd", "--archs", "tiny-a,tiny-a", "--data-source", "idx",
+                "--train-images", "{out}/idx_data/train-images.idx",
+                "--train-labels", "{out}/idx_data/train-labels.idx",
+                "--test-images", "{out}/idx_data/test-images.idx",
+                "--test-labels", "{out}/idx_data/test-labels.idx"],
 }
 
-GRADCAM_RUNS = ("afd_mixed", "afd_k3")
+GRADCAM_RUNS = ("afd_mixed", "afd_k3", "afd_idx")
+
+# split -> (images per class, seed) for the IDX files
+IDX_SPLITS = {"train": ("64", "0"), "test": ("16", "1")}
+
+
+def write_idx_data(out_root):
+    """Write each split of ``IDX_SPLITS`` with ``peerkd synth-data``."""
+    idx_dir = os.path.join(out_root, "idx_data")
+    os.makedirs(idx_dir, exist_ok=True)
+    for split, (per_class, seed) in IDX_SPLITS.items():
+        code = main(["synth-data", "--num-classes", "3", "--per-class", per_class,
+                     "--image-size", "16", "--seed", seed,
+                     "--images", os.path.join(idx_dir, f"{split}-images.idx"),
+                     "--labels", os.path.join(idx_dir, f"{split}-labels.idx")])
+        if code != 0:
+            return code
+    return 0
 
 
 def write_eval_logits(flags, run_dir):
@@ -97,6 +124,9 @@ def write_eval_logits(flags, run_dir):
 
 def run_all(out_root):
     print(f"peerkd from {os.path.dirname(peerkd.__file__)}")
+    code = write_idx_data(out_root)
+    if code != 0:
+        return code
     for name, flags in RUNS.items():
         flags = [flag.format(out=out_root) for flag in flags]
         run_dir = os.path.join(out_root, name)

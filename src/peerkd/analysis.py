@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import eval_mode
+from .checkpoint import write_atomic
 from .data import Dataset
 from .errors import ContractError, DataError, UsageError
 from .tensor import Tensor, backward, mean_all, no_grad, take_rows
@@ -111,6 +112,4 @@ def export_pgm(heatmap, path):
         )
     h, w = arr.shape
     payload = np.rint(arr * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(payload.tobytes())
+    write_atomic(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), payload.tobytes()])

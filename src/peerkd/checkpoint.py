@@ -1,4 +1,5 @@
-"""Binary checkpoint container.
+"""Binary checkpoint container, plus the atomic writer (``write_atomic``) and
+bounds-checked reader (``take``) that every peerkd file goes through.
 
 Layout, all integers little-endian:
 
@@ -15,6 +16,7 @@ a restored run continues exactly where it stopped.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -26,29 +28,17 @@ MAGIC = b"AFDK"
 VERSION = 1
 
 
-def save_entries(path, entries: dict[str, np.ndarray]):
-    """Write named float arrays; values are stored as float32.
+def write_atomic(path, chunks):
+    """Write the byte strings of ``chunks``, in order, as the file ``path``.
 
     The bytes go to a sibling ``.tmp`` file that replaces ``path`` only once
-    it is complete, so a save that fails midway leaves an earlier file at
-    ``path`` as it was.
+    it is complete, so a write that fails midway leaves an earlier file at
+    ``path`` as it was, and no ``.tmp`` file.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", VERSION, len(entries)))
-            for name, arr in entries.items():
-                data = np.ascontiguousarray(arr, dtype="<f4")
-                name_bytes = name.encode("utf-8")
-                if len(name_bytes) > 0xFFFF:
-                    raise FormatError(f"entry name too long: {name!r}")
-                f.write(struct.pack("<H", len(name_bytes)))
-                f.write(name_bytes)
-                f.write(struct.pack("<B", max(data.ndim, 1)))
-                dims = data.shape if data.ndim else (1,)
-                f.write(struct.pack(f"<{len(dims)}I", *dims))
-                f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -56,7 +46,22 @@ def save_entries(path, entries: dict[str, np.ndarray]):
         raise
 
 
-def _take(buf, offset, count, path):
+def save_entries(path, entries: dict[str, np.ndarray]):
+    """Write named float arrays, stored as float32, with ``write_atomic``."""
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(entries))]
+    for name, arr in entries.items():
+        data = np.ascontiguousarray(arr, dtype="<f4")
+        name_bytes = name.encode("utf-8")
+        if len(name_bytes) > 0xFFFF:
+            raise FormatError(f"entry name too long: {name!r}")
+        chunks += [struct.pack(f"<H{len(name_bytes)}sB{data.ndim}I", len(name_bytes),
+                               name_bytes, data.ndim, *data.shape), data]
+    write_atomic(path, chunks)
+
+
+def take(buf, offset, count, path):
+    """``count`` bytes of ``buf`` from ``offset``, and the offset after them;
+    ``FormatError`` naming ``path`` when ``buf`` ends first."""
     if offset + count > len(buf):
         raise FormatError(
             f"{path}: truncated at byte offset {len(buf)}, "
@@ -68,25 +73,29 @@ def _take(buf, offset, count, path):
 def load_entries(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         buf = f.read()
-    chunk, off = _take(buf, 0, 4, path)
+    chunk, off = take(buf, 0, 4, path)
     if chunk != MAGIC:
         raise FormatError(f"{path}: bad magic {chunk!r} at byte offset 0, expected {MAGIC!r}")
-    chunk, off = _take(buf, off, 8, path)
+    chunk, off = take(buf, off, 8, path)
     version, count = struct.unpack("<II", chunk)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
     entries = {}
     for _ in range(count):
-        chunk, off = _take(buf, off, 2, path)
+        chunk, off = take(buf, off, 2, path)
         (name_len,) = struct.unpack("<H", chunk)
-        chunk, off = _take(buf, off, name_len, path)
-        name = chunk.decode("utf-8")
-        chunk, off = _take(buf, off, 1, path)
+        chunk, off = take(buf, off, name_len, path)
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name at byte offset {off - name_len} "
+                              "is not UTF-8") from None
+        chunk, off = take(buf, off, 1, path)
         rank = chunk[0]
-        chunk, off = _take(buf, off, 4 * rank, path)
+        chunk, off = take(buf, off, 4 * rank, path)
         dims = struct.unpack(f"<{rank}I", chunk)
-        size = int(np.prod(dims))
-        chunk, off = _take(buf, off, 4 * size, path)
+        size = math.prod(dims)
+        chunk, off = take(buf, off, 4 * size, path)
         entries[name] = np.frombuffer(chunk, dtype="<f4").reshape(dims).astype(np.float32)
     if off != len(buf):
         raise FormatError(f"{path}: {len(buf) - off} trailing bytes at byte offset {off}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import take, write_atomic
 from .errors import ConfigError, DataError, FormatError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -40,39 +41,33 @@ class Dataset:
         return self.images.shape[0]
 
 
-def _read_exact(f, count, path, offset):
-    buf = f.read(count)
-    if len(buf) != count:
-        raise FormatError(
-            f"{path}: truncated at byte offset {offset + len(buf)}, "
-            f"expected {count} more bytes"
-        )
-    return buf
-
-
 def load_idx(path_images, path_labels) -> Dataset:
     """Read an IDX image/label file pair into a [0,1]-scaled dataset."""
     with open(path_images, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, path_images, 0))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{path_images}: bad image magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        payload = _read_exact(f, n * rows * cols, path_images, 16)
+        buf = f.read()
+    chunk, off = take(buf, 0, 16, path_images)
+    magic, n, rows, cols = struct.unpack(">IIII", chunk)
+    if magic != IDX_IMAGE_MAGIC:
+        raise FormatError(
+            f"{path_images}: bad image magic 0x{magic:08x} at byte offset 0, "
+            f"expected 0x{IDX_IMAGE_MAGIC:08x}"
+        )
+    payload, _ = take(buf, off, n * rows * cols, path_images)
     with open(path_labels, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8, path_labels, 0))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{path_labels}: bad label magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        if n_labels != n:
-            raise FormatError(
-                f"{path_labels}: label count {n_labels} at byte offset 4 does not "
-                f"match image count {n}"
-            )
-        label_bytes = _read_exact(f, n_labels, path_labels, 8)
+        buf = f.read()
+    chunk, off = take(buf, 0, 8, path_labels)
+    magic, n_labels = struct.unpack(">II", chunk)
+    if magic != IDX_LABEL_MAGIC:
+        raise FormatError(
+            f"{path_labels}: bad label magic 0x{magic:08x} at byte offset 0, "
+            f"expected 0x{IDX_LABEL_MAGIC:08x}"
+        )
+    if n_labels != n:
+        raise FormatError(
+            f"{path_labels}: label count {n_labels} at byte offset 4 does not "
+            f"match image count {n}"
+        )
+    label_bytes, _ = take(buf, off, n_labels, path_labels)
     images = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
     images = images.reshape(n, 1, rows, cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
@@ -85,12 +80,9 @@ def save_idx(dataset: Dataset, path_images, path_labels):
     if c != 1:
         raise DataError(f"IDX export supports single-channel images, got {c} channels")
     pixels = np.rint(np.clip(dataset.images, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path_images, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
-    with open(path_labels, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    write_atomic(path_images, [struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w), pixels.tobytes()])
+    write_atomic(path_labels, [struct.pack(">II", IDX_LABEL_MAGIC, n),
+                               dataset.labels.astype(np.uint8).tobytes()])
 
 
 TEMPLATE_AMPLITUDE = 0.45

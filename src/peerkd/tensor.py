@@ -364,18 +364,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     wmat = kernel.data.reshape(c_out, -1)
     out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
     out += bias.data[None, :, None, None]
-    # a constant input (a data batch, a detached feature) or kernel costs no
-    # gradient work
-    need_x, need_kernel, need_bias = x.requires_grad, kernel.requires_grad, bias.requires_grad
-    if not need_kernel:
-        cols = None
+    # a constant input (a data batch, a detached feature) costs no input
+    # gradient; a recorded conv's kernel and bias are parameters
+    need_x = x.requires_grad
     hp, wp = xp.shape[2:]
 
     def vjp(g):
         go = g.reshape(b, c_out, oh * ow)
-        g_x = g_kernel = g_bias = None
-        if need_kernel:
-            g_kernel = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(c_out, kc, kh, kw)
+        g_kernel = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(c_out, kc, kh, kw)
+        g_x = None
         if need_x:
             g_cols = np.matmul(wmat.T, go).reshape(b, c_in, kh, kw, oh, ow)
             # col2im sums the taps in an [H, W, B, C] buffer, so each tap's add
@@ -388,9 +385,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                         g_cols[:, :, u, v].transpose(2, 3, 0, 1)
             g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
             g_x = g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
-        if need_bias:
-            g_bias = go.sum(axis=(0, 2))
-        return g_x, g_kernel, g_bias
+        return g_x, g_kernel, go.sum(axis=(0, 2))
 
     return _make(out, (x, kernel, bias), vjp, "conv2d")
 

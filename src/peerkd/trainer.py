@@ -29,7 +29,7 @@ import numpy as np
 
 from . import losses as L
 from .blocks import build_discriminator, build_network, build_transfer_layer, eval_mode
-from .checkpoint import load_entries, save_entries
+from .checkpoint import load_entries, save_entries, write_atomic
 from .data import (Dataset, RunConfig, batches, channel_stats, load_splits,
                    sequential_batches, standardize)
 from .errors import ConfigError, DataError, FormatError, NonFiniteError
@@ -40,8 +40,9 @@ CSV_HEADER = "epoch,net_id,split,loss_ce,loss_kl,loss_g,loss_d,top1,ens_top1,lr_
 
 # Logit-loss terms per method: mimicry target (none, each incoming peer, or
 # the mean softened distribution of all nets) and L1 feature alignment
-# through the incoming edges' transfer layers. All but dml share one
-# synchronous step (``afd_logit_phase``); dml steps each net in turn.
+# through the incoming edges' transfer layers. Every method builds a net's
+# loss with ``_net_loss``; all but dml take one synchronous step
+# (``afd_logit_phase``), dml steps each net in turn.
 LOGIT_TERMS = {
     "afd": ("peer", False),
     "dml": ("peer", False),
@@ -197,35 +198,43 @@ def _mean_losses(terms):
     return total
 
 
-def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
-    """Phase A: per trainable net, cross-entropy plus the method's mimicry and
-    alignment terms (``LOGIT_TERMS``); one synchronous SGD step."""
+def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
+    """Net ``k``'s logit loss: cross-entropy plus the method's mimicry and
+    alignment terms (``LOGIT_TERMS``), with its StepRecord. ``target`` is the
+    ensemble's softened distribution, used when the mimicry is ``ensemble``."""
     mimicry, align = LOGIT_TERMS[plan.method]
+    ce = L.cross_entropy(y, logits[k])
+    incoming = plan.incoming(k)
+    rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
+                     top1=_batch_top1(logits[k], y))
+    loss = ce
+    kl = None
     if mimicry == "ensemble":
+        kl = L.kl_probs_mimicry(target, logits[k], plan.temperature)
+    elif mimicry == "peer" and incoming:
+        kl = _mean_losses([L.kl_mimicry(logits[src], logits[k], plan.temperature)
+                           for _, src in incoming])
+    if kl is not None:
+        rec.loss_kl = _finite(kl.item(), f"loss_kl[net{k}]")
+        loss = loss + kl
+    if align and incoming:
+        loss = loss + _mean_losses([
+            L.l1_alignment(plan.transfer_layers[e].forward(feats[k]), feats[src])
+            for e, src in incoming])
+    return loss, rec
+
+
+def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
+    """Phase A: each trainable net's ``_net_loss``; one synchronous SGD step."""
+    target = None
+    if LOGIT_TERMS[plan.method][0] == "ensemble":
         target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
     plan.logit_opt.zero_grad()
     records = []
     for k in range(len(plan.nets)):
         if k in plan.frozen:
             continue
-        ce = L.cross_entropy(y, logits[k])
-        incoming = plan.incoming(k)
-        rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
-                         top1=_batch_top1(logits[k], y))
-        loss = ce
-        kl = None
-        if mimicry == "ensemble":
-            kl = L.kl_probs_mimicry(target, logits[k], plan.temperature)
-        elif mimicry == "peer" and incoming:
-            kl = _mean_losses([L.kl_mimicry(logits[src], logits[k], plan.temperature)
-                               for _, src in incoming])
-        if kl is not None:
-            rec.loss_kl = _finite(kl.item(), f"loss_kl[net{k}]")
-            loss = loss + kl
-        if align and incoming:
-            loss = loss + _mean_losses([
-                L.l1_alignment(plan.transfer_layers[e].forward(feats[k]), feats[src])
-                for e, src in incoming])
+        loss, rec = _net_loss(plan, k, y, feats, logits, target)
         backward(loss, plan.logit_opt.params.values())
         records.append(rec)
     plan.logit_opt.step()
@@ -243,9 +252,9 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
     (conv kernels, batch-norm gammas) uses the values saved at record time.
     So it is the gradient through the discriminator as it scored ``own``,
     and through the extractor as it was when it produced ``feats``, before
-    phase A's SGD step.
+    phase A's SGD step. Each edge's losses go to ``records[dst]``: afd
+    freezes no net, so record k is net k's.
     """
-    by_net = {r.net_id: r for r in records}
     opt = plan.adv_opt
     opt.zero_grad()
     for e, (src, dst) in enumerate(plan.edges):
@@ -266,9 +275,8 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
         backward(g_loss, [opt.params[n] for n in plan.gen_param_names[e]])
         opt.step(plan.gen_param_names[e])
 
-        if dst in by_net:
-            by_net[dst].loss_d = d_val
-            by_net[dst].loss_g = g_val
+        records[dst].loss_d = d_val
+        records[dst].loss_g = g_val
 
 
 def afd_train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
@@ -284,21 +292,14 @@ def _dml_step(plan, x, y):
     feats, logits = forward_all(plan, x)
     records = []
     for k in range(len(plan.nets)):
-        if k == 0:
-            own_logits = logits[k]
-        else:
+        if k > 0:
             # net k has not stepped yet, so this pass gives forward_all's logits again
-            # (and updates its BN running stats a second time); the target below is
-            # still each peer's pre-step logits[src], not DML's post-step peer
-            _, own_logits = plan.nets[k].forward(xt)
-        ce = L.cross_entropy(y, own_logits)
-        kl = _mean_losses([L.kl_mimicry(logits[src], own_logits, plan.temperature)
-                           for _, src in plan.incoming(k)])
-        rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
-                         loss_kl=_finite(kl.item(), f"loss_kl[net{k}]"),
-                         top1=_batch_top1(own_logits, y))
+            # (and updates its BN running stats a second time); _net_loss's target
+            # is still each peer's pre-step logits[src], not DML's post-step peer
+            _, logits[k] = plan.nets[k].forward(xt)
+        loss, rec = _net_loss(plan, k, y, feats, logits, None)
         plan.logit_opt.zero_grad()
-        backward(ce + kl, plan.logit_opt.params.values())
+        backward(loss, plan.logit_opt.params.values())
         plan.logit_opt.step()
         records.append(rec)
     return records
@@ -463,7 +464,7 @@ def run_experiment(config: RunConfig, resume_from=None):
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "metrics.csv")
     # a resumed run keeps the rows written up to its checkpoint and rewrites the rest
-    kept = _rows_through(csv_path, start_epoch) if start_epoch else []
+    lines = [CSV_HEADER + "\n", *(_rows_through(csv_path, start_epoch) if start_epoch else [])]
     rows = []
 
     def lr_pair(epoch):
@@ -471,44 +472,44 @@ def run_experiment(config: RunConfig, resume_from=None):
         lr_a = lr_at(epoch, config.lr_adv, config.milestones_adv, config.lr_factor)
         return lr_l, lr_a
 
-    with open(csv_path, "w") as out:
-        out.write(CSV_HEADER + "\n")
-        out.writelines(kept)
+    def emit(*values):  # one value per CSV_HEADER column
+        rows.append(dict(zip(CSV_HEADER.split(","), values)))
+        cells = ([str(v) for v in values[:3]] + [_fmt(v) for v in values[3:9]]
+                 + [_fmt_lr(v) for v in values[9:]])
+        lines.append(",".join(cells) + "\n")
 
-        def emit(*values):  # one value per CSV_HEADER column
-            rows.append(dict(zip(CSV_HEADER.split(","), values)))
-            cells = ([str(v) for v in values[:3]] + [_fmt(v) for v in values[3:9]]
-                     + [_fmt_lr(v) for v in values[9:]])
-            out.write(",".join(cells) + "\n")
+    def emit_eval(epoch):
+        lr_l, lr_a = lr_pair(max(epoch - 1, 0))
+        per_net, ens = evaluate(plan.nets, test_ds, config.batch_size)
+        for k, acc in enumerate(per_net):
+            emit(epoch, k, "test", None, None, None, None, acc, ens, lr_l, lr_a)
 
-        def emit_eval(epoch):
-            lr_l, lr_a = lr_pair(max(epoch - 1, 0))
-            per_net, ens = evaluate(plan.nets, test_ds, config.batch_size)
-            for k, acc in enumerate(per_net):
-                emit(epoch, k, "test", None, None, None, None, acc, ens, lr_l, lr_a)
+    def write_csv():  # whole epochs only, each on disk before its checkpoint
+        write_atomic(csv_path, ["".join(lines).encode()])
 
-        if start_epoch == 0:
-            emit_eval(0)
+    if start_epoch == 0:
+        emit_eval(0)
+    write_csv()
 
-        for epoch in range(start_epoch, config.epochs):
-            lr_l, lr_a = lr_pair(epoch)
-            plan.logit_opt.lr = lr_l
-            if plan.adv_opt is not None:
-                plan.adv_opt.lr = lr_a
-            by_net = {}
-            for x, y in batches(train_ds, config.batch_size, config.seed, epoch):
-                for rec in train_step(plan, x, y):
-                    by_net.setdefault(rec.net_id, []).append(rec)
-            for k in sorted(by_net):
-                means = [_field_mean(by_net[k], name)
-                         for name in ("loss_ce", "loss_kl", "loss_g", "loss_d", "top1")]
-                emit(epoch + 1, k, "train", *means, None, lr_l, lr_a)
-            emit_eval(epoch + 1)
-            if (epoch + 1) in config.milestones_logit:
-                out.flush()  # a resume from this checkpoint keeps the rows up to here
-                save_plan_checkpoint(
-                    plan, os.path.join(config.out_dir, f"checkpoint_ep{epoch + 1}.afdk"),
-                    epoch + 1, mean, std)
+    for epoch in range(start_epoch, config.epochs):
+        lr_l, lr_a = lr_pair(epoch)
+        plan.logit_opt.lr = lr_l
+        if plan.adv_opt is not None:
+            plan.adv_opt.lr = lr_a
+        by_net = {}
+        for x, y in batches(train_ds, config.batch_size, config.seed, epoch):
+            for rec in train_step(plan, x, y):
+                by_net.setdefault(rec.net_id, []).append(rec)
+        for k in sorted(by_net):
+            means = [_field_mean(by_net[k], name)
+                     for name in ("loss_ce", "loss_kl", "loss_g", "loss_d", "top1")]
+            emit(epoch + 1, k, "train", *means, None, lr_l, lr_a)
+        emit_eval(epoch + 1)
+        write_csv()
+        if (epoch + 1) in config.milestones_logit:
+            save_plan_checkpoint(
+                plan, os.path.join(config.out_dir, f"checkpoint_ep{epoch + 1}.afdk"),
+                epoch + 1, mean, std)
 
     save_plan_checkpoint(plan, os.path.join(config.out_dir, "checkpoint_final.afdk"),
                          config.epochs, mean, std)

@@ -1,4 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, a one-entry
+checkpoint file, and a file writer that fails partway."""
+
+import builtins
+import errno
+import io
+import struct
 
 import numpy as np
 
@@ -48,3 +54,36 @@ def fd_gradcheck(fn, arrays, tol=FD_TOL, h=FD_H):
         worst = max(worst, err)
         assert err <= tol, f"input {i}: relative error {err:.3e} > {tol}"
     return worst
+
+
+def one_entry_afdk(name_bytes, dims):
+    """Bytes of a checkpoint holding one entry with the given raw name and
+    dims, and a single float32 value."""
+    return (b"AFDK" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name_bytes))
+            + name_bytes + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+            + struct.pack("<f", 1.0))
+
+
+class _FailingWriter(io.BufferedWriter):
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.writes = 0
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(b)
+
+
+def fail_binary_writes(monkeypatch):
+    """Files opened with mode ``"wb"`` take their first write and raise
+    ``OSError`` on the next, as a disk that fills up would."""
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        if mode != "wb":
+            return real_open(file, mode, *args, **kwargs)
+        return _FailingWriter(io.FileIO(file, "w"))
+
+    monkeypatch.setattr(builtins, "open", fake_open)

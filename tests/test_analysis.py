@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import fail_binary_writes
 from peerkd import analysis, blocks, data
 from peerkd.errors import ContractError, DataError, ShapeError, UsageError
 from peerkd.tensor import Tensor, no_grad
@@ -253,3 +254,13 @@ class TestExportPgm:
     def test_range_enforced(self, tmp_path):
         with pytest.raises(ContractError):
             analysis.export_pgm(np.asarray([[1.5]]), tmp_path / "x.pgm")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.pgm"
+        analysis.export_pgm(np.zeros((3, 5)), path)
+        before = path.read_bytes()
+        fail_binary_writes(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            analysis.export_pgm(np.ones((3, 5)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pgm"]

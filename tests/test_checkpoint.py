@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import fail_binary_writes, one_entry_afdk
 from peerkd import checkpoint
 from peerkd.errors import FormatError
 
@@ -82,5 +83,30 @@ def test_failed_save_keeps_previous_file(tmp_path):
     with pytest.raises(FormatError, match="too long"):
         checkpoint.save_entries(path, {"y": np.zeros(3, dtype=np.float32),
                                        "z" * 70_000: np.zeros(1, dtype=np.float32)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.afdk"]
+
+
+def test_non_utf8_entry_name(tmp_path):
+    path = tmp_path / "name.afdk"
+    path.write_bytes(one_entry_afdk(b"net0/\xff", (1,)))
+    with pytest.raises(FormatError, match="offset 14 is not UTF-8"):
+        checkpoint.load_entries(path)
+
+
+def test_dims_past_int64_report_truncation(tmp_path):
+    path = tmp_path / "dims.afdk"
+    path.write_bytes(one_entry_afdk(b"x", (0x10000,) * 4))
+    with pytest.raises(FormatError, match="truncated"):
+        checkpoint.load_entries(path)
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "state.afdk"
+    checkpoint.save_entries(path, sample_entries())
+    before = path.read_bytes()
+    fail_binary_writes(monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        checkpoint.save_entries(path, {"x": np.asarray([1.0], dtype=np.float32)})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["state.afdk"]

@@ -1,8 +1,11 @@
 """End-to-end CLI flows."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from helpers import one_entry_afdk
 from peerkd import data
 from peerkd.blocks import eval_mode
 from peerkd.checkpoint import load_entries
@@ -195,6 +198,25 @@ def test_missing_file_is_an_error_not_a_traceback(tmp_path, capsys, command, fla
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,content", [
+    ("eval", one_entry_afdk(b"net0/\xff", (1,))),
+    ("eval", one_entry_afdk(b"x", (0x10000,) * 4)),
+    ("train", struct.pack(">IIII", 0x00000803, *(0xFFFFFFFF,) * 3)),
+], ids=["non_utf8_entry_name", "dims_past_int64", "idx_header_past_any_file_size"])
+def test_malformed_file_is_an_error_not_a_traceback(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(content)
+    if command == "train":
+        files = ["--data-source", "idx", "--train-images", str(bad), "--train-labels", str(bad),
+                 "--test-images", str(bad), "--test-labels", str(bad)]
+    else:
+        files = ["--checkpoint", str(bad)]
+    code = main([command] + _tiny_train(tmp_path)[1:] + files)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {bad}:") and "Traceback" not in err
 
 
 def test_gradcam_default_target_is_the_predicted_class(run_dir, tmp_path, capsys):

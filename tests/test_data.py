@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fail_binary_writes
 from peerkd import data
 from peerkd.errors import ConfigError, FormatError
 
@@ -64,6 +65,12 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="offset 4"):
             data.load_idx(*paths)
 
+    def test_header_past_any_file_size_names_offset(self, tmp_path):
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, *(0xFFFFFFFF,) * 3))
+        with pytest.raises(FormatError, match="truncated at byte offset 16"):
+            data.load_idx(path, path)
+
     def test_round_trip_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, (6, 8, 8), dtype=np.uint8)
@@ -75,6 +82,18 @@ class TestLoadIdx:
         again = data.load_idx(out_img, out_lbl)
         np.testing.assert_array_equal(ds.images, again.images)
         np.testing.assert_array_equal(ds.labels, again.labels)
+
+    def test_failed_save_keeps_previous_files(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, (4, 8, 8), dtype=np.uint8)
+        ds = data.load_idx(*write_idx_pair(tmp_path, images, np.arange(4, dtype=np.uint8)))
+        out_img, out_lbl = tmp_path / "o.idx", tmp_path / "l.idx"
+        data.save_idx(ds, out_img, out_lbl)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fail_binary_writes(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            data.save_idx(data.Dataset(ds.images[::-1], ds.labels[::-1]), out_img, out_lbl)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def nearest_template_accuracy(ds, templates):

@@ -130,15 +130,10 @@ class TestConv2d:
         k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)
         bias = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         g = np.ones((2, 3, 5, 5), dtype=np.float32)
-        g_x, g_k, g_b = T.conv2d(x, k, bias, padding=1)._vjp(g)
-        assert g_x is None and g_k.shape == k.shape and g_b.shape == (3,)
-
-        x.requires_grad = True
-        k.requires_grad = bias.requires_grad = False
         out = T.conv2d(x, k, bias, padding=1)
-        k.requires_grad = bias.requires_grad = True  # replay sees the record-time flags
+        x.requires_grad = True  # replay sees the record-time flag
         g_x, g_k, g_b = out._vjp(g)
-        assert g_x.shape == x.shape and g_k is None and g_b is None
+        assert g_x is None and g_k.shape == k.shape and g_b.shape == (3,)
 
     @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
     def test_float32_kernel_gradient_against_float64_oracle(self, k, stride, padding):

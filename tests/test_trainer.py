@@ -444,6 +444,25 @@ class TestRunExperiment:
         run_experiment(tiny_cfg(epochs=2, milestones_logit="1", out_dir=str(tmp_path / "m")))
         assert csv_lines[1] == 1 + 2 + 4  # header, epoch-0 test rows, epoch-1 train and test rows
 
+    def test_failed_epoch_leaves_only_whole_epochs_on_disk(self, tmp_path, monkeypatch):
+        full = tmp_path / "full"
+        run_experiment(tiny_cfg(epochs=1, out_dir=str(full)))
+        calls = []
+
+        def failing_evaluate(*args):
+            calls.append(1)
+            if len(calls) == 3:  # epoch 2's evaluation, after its training
+                raise RuntimeError("evaluation failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(trainer, "evaluate", failing_evaluate)
+        cut = tmp_path / "cut"
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run_experiment(tiny_cfg(epochs=3, out_dir=str(cut)))
+        # header, epoch-0 test rows, epoch-1 train and test rows: a 1-epoch run's file
+        assert (cut / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
+        assert not (cut / "metrics.csv.tmp").exists()
+
     def test_milestone_checkpoint_written(self, tmp_path):
         cfg = tiny_cfg(epochs=2, milestones_logit="1", out_dir=str(tmp_path / "m"))
         run_experiment(cfg)
