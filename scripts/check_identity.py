@@ -8,13 +8,17 @@ vanilla, vanilla with K=1 (no edges, a one-net ensemble), dml, dml with
 K=3 (``_dml_step`` on a ring), kd_ensemble with K=3, l1 and afd on a
 tiny-a/tiny-b pair, l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher
 path, with net 0 of the vanilla run's final checkpoint as teacher), afd
-with ``--adversarial off`` (the logit-only ablation) and afd on a tiny-a pair
-that reads IDX files (``--data-source idx``). Every run uses 3 classes,
-3 epochs, batch 32, 64 training and 16 test images per class, 16x16
-images and milestone 1 for both learning rates. The IDX files are written
-first by ``peerkd synth-data`` into ``idx_data``, with seed 0 for the
-training split and seed 1 for the test split. Only flags that every
-compared tree accepts are used.
+with ``--adversarial off`` (the logit-only ablation), afd on a tiny-a pair
+that reads IDX files (``--data-source idx``), and two resumed runs,
+``afd_mixed_resumed`` and ``dml_resumed``: the ``afd_mixed`` and ``dml``
+flags again, resumed with ``--resume`` from that run's
+``checkpoint_ep1.afdk`` into a directory of their own, so the restored
+parameters, buffers and SGD and Adam state are under the diff too. Every
+run uses 3 classes, 3 epochs, batch 32, 64 training and 16 test images per
+class, 16x16 images and milestone 1 for both learning rates. The IDX files
+are written first by ``peerkd synth-data`` into ``idx_data``, with seed 0
+for the training split and seed 1 for the test split. Only flags that
+every compared tree accepts are used.
 
 After training, each run's ``checkpoint_final.afdk`` is restored and the
 raw float32 bytes of every net's eval-mode logits on the standardized test
@@ -87,6 +91,9 @@ RUNS = {
                 "--test-labels", "{out}/idx_data/test-labels.idx"],
 }
 
+# resumed run -> the run of RUNS whose flags it repeats and whose epoch-1 checkpoint it resumes
+RESUMED_RUNS = {"afd_mixed_resumed": "afd_mixed", "dml_resumed": "dml"}
+
 GRADCAM_RUNS = ("afd_mixed", "afd_k3", "afd_idx")
 
 # split -> (images per class, seed) for the IDX files
@@ -127,10 +134,14 @@ def run_all(out_root):
     code = write_idx_data(out_root)
     if code != 0:
         return code
-    for name, flags in RUNS.items():
+    runs = [(name, flags, []) for name, flags in RUNS.items()]
+    runs += [(name, RUNS[source],
+              ["--resume", os.path.join(out_root, source, "checkpoint_ep1.afdk")])
+             for name, source in RESUMED_RUNS.items()]
+    for name, flags, resume in runs:
         flags = [flag.format(out=out_root) for flag in flags]
         run_dir = os.path.join(out_root, name)
-        code = main(["train", *flags, *COMMON, "--out-dir", run_dir])
+        code = main(["train", *flags, *resume, *COMMON, "--out-dir", run_dir])
         if code != 0:
             return code
         write_eval_logits([*flags, *COMMON], run_dir)

@@ -1,5 +1,6 @@
 """Binary checkpoint container, plus the atomic writer (``write_atomic``) and
-bounds-checked reader (``take``) that every peerkd file goes through.
+bounds-checked reader (``take`` and ``check_end``) that every peerkd file
+goes through.
 
 Layout, all integers little-endian:
 
@@ -70,6 +71,12 @@ def take(buf, offset, count, path):
     return buf[offset:offset + count], offset + count
 
 
+def check_end(buf, offset, path):
+    """``FormatError`` naming ``path`` when ``buf`` goes on past ``offset``."""
+    if offset != len(buf):
+        raise FormatError(f"{path}: {len(buf) - offset} trailing bytes at byte offset {offset}")
+
+
 def load_entries(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         buf = f.read()
@@ -97,6 +104,5 @@ def load_entries(path) -> dict[str, np.ndarray]:
         size = math.prod(dims)
         chunk, off = take(buf, off, 4 * size, path)
         entries[name] = np.frombuffer(chunk, dtype="<f4").reshape(dims).astype(np.float32)
-    if off != len(buf):
-        raise FormatError(f"{path}: {len(buf) - off} trailing bytes at byte offset {off}")
+    check_end(buf, off, path)
     return entries

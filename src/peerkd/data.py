@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import take, write_atomic
+from .checkpoint import check_end, take, write_atomic
 from .errors import ConfigError, DataError, FormatError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -42,7 +42,8 @@ class Dataset:
 
 
 def load_idx(path_images, path_labels) -> Dataset:
-    """Read an IDX image/label file pair into a [0,1]-scaled dataset."""
+    """Read an IDX image/label file pair into a [0,1]-scaled dataset; each
+    file must end where its header says."""
     with open(path_images, "rb") as f:
         buf = f.read()
     chunk, off = take(buf, 0, 16, path_images)
@@ -52,7 +53,8 @@ def load_idx(path_images, path_labels) -> Dataset:
             f"{path_images}: bad image magic 0x{magic:08x} at byte offset 0, "
             f"expected 0x{IDX_IMAGE_MAGIC:08x}"
         )
-    payload, _ = take(buf, off, n * rows * cols, path_images)
+    payload, off = take(buf, off, n * rows * cols, path_images)
+    check_end(buf, off, path_images)
     with open(path_labels, "rb") as f:
         buf = f.read()
     chunk, off = take(buf, 0, 8, path_labels)
@@ -67,7 +69,8 @@ def load_idx(path_images, path_labels) -> Dataset:
             f"{path_labels}: label count {n_labels} at byte offset 4 does not "
             f"match image count {n}"
         )
-    label_bytes, _ = take(buf, off, n_labels, path_labels)
+    label_bytes, off = take(buf, off, n_labels, path_labels)
+    check_end(buf, off, path_labels)
     images = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
     images = images.reshape(n, 1, rows, cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)

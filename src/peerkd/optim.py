@@ -7,6 +7,10 @@ so the arrays a recorded op saved (its inputs, a conv kernel, a linear
 weight, a batch-norm gamma) keep their pre-step values: a graph recorded
 before a step is differentiated at the pre-step parameters, whenever its
 backward runs.
+
+``state_arrays`` returns the optimizer's live state arrays (velocities,
+moments, step counts): the arrays a checkpoint saves, and the arrays a
+restore copies into (``trainer.restore_plan``).
 """
 
 from __future__ import annotations
@@ -46,10 +50,6 @@ class SGDMomentum:
     def state_arrays(self):
         return {f"{name}/velocity": v for name, v in self.velocity.items()}
 
-    def load_state_arrays(self, arrays):
-        for name in self.velocity:
-            self.velocity[name] = arrays[f"{name}/velocity"].copy()
-
 
 class Adam:
     beta1 = 0.9
@@ -62,7 +62,8 @@ class Adam:
         self.weight_decay = weight_decay
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.t = {name: 0 for name in self.params}
+        # step counts, each the 1-element float32 array a checkpoint saves
+        self.t = {name: np.zeros(1, dtype=np.float32) for name in self.params}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -80,8 +81,8 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad + self.weight_decay * p.data
-            self.t[name] += 1
-            t = self.t[name]
+            self.t[name] = self.t[name] + 1
+            t = int(self.t[name][0])
             m = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             self.m[name] = m
@@ -95,11 +96,5 @@ class Adam:
         for name in self.params:
             out[f"{name}/m"] = self.m[name]
             out[f"{name}/v"] = self.v[name]
-            out[f"{name}/t"] = np.asarray([float(self.t[name])], dtype=np.float32)
+            out[f"{name}/t"] = self.t[name]
         return out
-
-    def load_state_arrays(self, arrays):
-        for name in self.params:
-            self.m[name] = arrays[f"{name}/m"].copy()
-            self.v[name] = arrays[f"{name}/v"].copy()
-            self.t[name] = int(arrays[f"{name}/t"][0])

@@ -85,8 +85,9 @@ class DistillPlan:
     gen_param_names: dict  # edge index -> adv_opt names of its extractor and transfer layer
 
     def incoming(self, k: int):
-        """(edge index, source net) for each edge into net ``k``."""
-        return [(e, src) for e, (src, dst) in enumerate(self.edges) if dst == k]
+        """(edge index, source net) of the edge into net ``k``, or None without
+        edges; ``build_plan`` builds a ring, so a net has at most one."""
+        return next(((e, src) for e, (src, dst) in enumerate(self.edges) if dst == k), None)
 
     def modules(self):
         """(entry prefix, module) for nets, then discriminators, then transfer layers."""
@@ -97,10 +98,6 @@ class DistillPlan:
 
 def _prefixed(prefix, params):
     return {f"{prefix}/{name}": p for name, p in params.items()}
-
-
-def _unprefixed(prefix, entries):
-    return {name[len(prefix):]: arr for name, arr in entries.items() if name.startswith(prefix)}
 
 
 def build_plan(config: RunConfig) -> DistillPlan:
@@ -114,8 +111,7 @@ def build_plan(config: RunConfig) -> DistillPlan:
     frozen = set()
     if config.method == "l1_kd_offline":
         frozen.add(1)
-        teacher_entries = load_entries(config.teacher_checkpoint)
-        _load_module_entries(nets[1], teacher_entries, "net0/")
+        _copy_checked(_module_state("net0", nets[1]), load_entries(config.teacher_checkpoint))
         nets[1].eval()
 
     adversarial = config.method == "afd" and config.adversarial
@@ -189,19 +185,11 @@ def forward_all(plan: DistillPlan, x: np.ndarray):
     return feats, logits
 
 
-def _mean_losses(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    if len(terms) > 1:
-        total = total * (1.0 / len(terms))
-    return total
-
-
 def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
     """Net ``k``'s logit loss: cross-entropy plus the method's mimicry and
     alignment terms (``LOGIT_TERMS``), with its StepRecord. ``target`` is the
-    ensemble's softened distribution, used when the mimicry is ``ensemble``."""
+    ensemble's softened distribution, used when the mimicry is ``ensemble``;
+    the peer and alignment terms come from net ``k``'s incoming edge."""
     mimicry, align = LOGIT_TERMS[plan.method]
     ce = L.cross_entropy(y, logits[k])
     incoming = plan.incoming(k)
@@ -212,15 +200,13 @@ def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
     if mimicry == "ensemble":
         kl = L.kl_probs_mimicry(target, logits[k], plan.temperature)
     elif mimicry == "peer" and incoming:
-        kl = _mean_losses([L.kl_mimicry(logits[src], logits[k], plan.temperature)
-                           for _, src in incoming])
+        kl = L.kl_mimicry(logits[incoming[1]], logits[k], plan.temperature)
     if kl is not None:
         rec.loss_kl = _finite(kl.item(), f"loss_kl[net{k}]")
         loss = loss + kl
     if align and incoming:
-        loss = loss + _mean_losses([
-            L.l1_alignment(plan.transfer_layers[e].forward(feats[k]), feats[src])
-            for e, src in incoming])
+        e, src = incoming
+        loss = loss + L.l1_alignment(plan.transfer_layers[e].forward(feats[k]), feats[src])
     return loss, rec
 
 
@@ -345,29 +331,33 @@ def evaluate(nets, dataset: Dataset, batch_size: int = 256):
 # ---------------------------------------------------------------------------
 
 
-def _checked_entry(entries, key, shape):
-    if key not in entries:
-        raise FormatError(f"checkpoint has no entry {key}")
-    if entries[key].shape != shape:
-        raise ConfigError(
-            f"checkpoint entry {key} has shape {entries[key].shape}, expected {shape}")
-    return entries[key]
+def _module_state(prefix, module):
+    """A module's live parameter and buffer arrays, by checkpoint entry name."""
+    return _prefixed(prefix, {**{name: p.data for name, p in module.params().items()},
+                              **module.buffers()})
 
 
-def _load_module_entries(module, entries, prefix):
-    """Copy a module's params from ``entries``; buffers are written in place
-    because the layers hold those arrays."""
-    for name, p in module.params().items():
-        p.data = _checked_entry(entries, prefix + name, p.data.shape).copy()
-    for name, buf in module.buffers().items():
-        buf[:] = _checked_entry(entries, prefix + name, buf.shape)
+def _copy_checked(state, entries):
+    """Copy each array of ``entries`` into the ``state`` array of the same
+    name, once every name (``FormatError``) and shape (``ConfigError``) has
+    been checked, so a refused checkpoint writes no ``state`` array."""
+    for name, arr in state.items():
+        if name not in entries:
+            raise FormatError(f"checkpoint has no entry {name}")
+        if entries[name].shape != arr.shape:
+            raise ConfigError(
+                f"checkpoint entry {name} has shape {entries[name].shape}, expected {arr.shape}")
+    for name, arr in state.items():
+        np.copyto(arr, entries[name])
 
 
 def plan_state_entries(plan: DistillPlan, epoch: int, mean: np.ndarray, std: np.ndarray):
+    """Every array a checkpoint of ``plan`` holds, by entry name: the live
+    parameter, buffer and optimizer state arrays, then the epoch and the
+    data standardization statistics."""
     entries = {}
     for prefix, module in plan.modules():
-        entries.update(_prefixed(prefix, {name: p.data for name, p in module.params().items()}))
-        entries.update(_prefixed(prefix, module.buffers()))
+        entries.update(_module_state(prefix, module))
     entries.update(_prefixed("opt_logit", plan.logit_opt.state_arrays()))
     if plan.adv_opt is not None:
         entries.update(_prefixed("opt_adv", plan.adv_opt.state_arrays()))
@@ -380,23 +370,24 @@ def plan_state_entries(plan: DistillPlan, epoch: int, mean: np.ndarray, std: np.
 def restore_plan(plan: DistillPlan, entries: dict):
     """Load a checkpoint into ``plan``; returns the epoch it was saved at.
 
-    The checkpoint must hold exactly the entries ``plan`` saves, checked
-    before anything is loaded (``FormatError``), with the same shapes
-    (``ConfigError``), so a checkpoint from another method, topology or
-    architecture is refused.
+    ``plan_state_entries`` is the schema. The checkpoint must hold exactly
+    the entries ``plan`` saves (``FormatError``), each with the shape of the
+    array it names (``ConfigError``), optimizer state included. Every name
+    and shape is checked before anything is written, so a checkpoint from
+    another method, topology or architecture is refused with ``plan``
+    untouched. Each entry is then copied into its array in place, parameters
+    included, so restore only between steps: a graph recorded before the
+    restore would read the restored values.
     """
-    expected = plan_state_entries(plan, 0, None, None)
-    if expected.keys() != entries.keys():
-        name = next(n for n in [*expected, *entries] if (n in expected) != (n in entries))
-        problem = "has no entry" if name in expected else "has an extra entry"
+    stats = np.zeros(1, dtype=np.float32)  # per-channel; the nets read one channel
+    state = plan_state_entries(plan, 0, stats, stats.copy())
+    if state.keys() != entries.keys():
+        name = next(n for n in [*state, *entries] if (n in state) != (n in entries))
+        problem = "has no entry" if name in state else "has an extra entry"
         raise FormatError(f"checkpoint {problem} {name} for method {plan.method} "
                           f"with {len(plan.nets)} nets")
-    for prefix, module in plan.modules():
-        _load_module_entries(module, entries, prefix + "/")
-    plan.logit_opt.load_state_arrays(_unprefixed("opt_logit/", entries))
-    if plan.adv_opt is not None:
-        plan.adv_opt.load_state_arrays(_unprefixed("opt_adv/", entries))
-    return int(entries["meta/epoch"][0])
+    _copy_checked(state, entries)
+    return int(state["meta/epoch"][0])
 
 
 def save_plan_checkpoint(plan, path, epoch, mean, std):

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, a one-entry
-checkpoint file, and a file writer that fails partway."""
+checkpoint file, malformed checkpoint state entries, and a file writer that
+fails partway."""
 
 import builtins
 import errno
@@ -62,6 +63,14 @@ def one_entry_afdk(name_bytes, dims):
     return (b"AFDK" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name_bytes))
             + name_bytes + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
             + struct.pack("<f", 1.0))
+
+
+# (entry name, wrong shape) of an AFD tiny-a pair's checkpoint, one per kind of state
+MALFORMED_STATE = [("opt_logit/net0/ext0.weight/velocity", (1,)),
+                   ("opt_adv/disc0/conv1.weight/m", (1,)),
+                   ("opt_adv/disc0/conv1.weight/t", (0,)),
+                   ("meta/epoch", (0,)),
+                   ("data/mean", (2,))]
 
 
 class _FailingWriter(io.BufferedWriter):

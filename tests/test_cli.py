@@ -5,10 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import one_entry_afdk
+from helpers import MALFORMED_STATE, one_entry_afdk
 from peerkd import data
 from peerkd.blocks import eval_mode
-from peerkd.checkpoint import load_entries
+from peerkd.checkpoint import load_entries, save_entries
 from peerkd.cli import main
 from peerkd.tensor import Tensor, no_grad
 from peerkd.trainer import build_plan, restore_plan
@@ -69,6 +69,26 @@ def test_eval_refuses_checkpoint_of_another_method(run_dir, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "disc0/" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("name,shape", MALFORMED_STATE)
+def test_malformed_state_entry_is_refused(run_dir, tmp_path, capsys, command, name, shape):
+    entries = load_entries(run_dir / "checkpoint_final.afdk")
+    entries[name] = np.zeros(shape, dtype=np.float32)
+    bad = tmp_path / "bad.afdk"
+    save_entries(bad, entries)
+    flags = _common_flags(run_dir)[:-2]
+    if command == "train":
+        out = tmp_path / "resumed"
+        flags += ["--epochs", "2", "--resume", str(bad), "--out-dir", str(out)]
+    else:
+        flags += ["--checkpoint", str(bad)]
+    code = main([command] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: checkpoint entry {name} has shape") and "Traceback" not in err
+    assert command == "eval" or not out.exists()
 
 
 def test_gradcam_writes_pgm(run_dir, tmp_path, capsys):
@@ -217,6 +237,23 @@ def test_malformed_file_is_an_error_not_a_traceback(tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {bad}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_train_refuses_idx_file_with_trailing_bytes(tmp_path, capsys, which):
+    files = {"images": tmp_path / "d.images.idx", "labels": tmp_path / "d.labels.idx"}
+    assert main(["synth-data", "--num-classes", "3", "--per-class", "4", "--image-size", "16",
+                 "--images", str(files["images"]), "--labels", str(files["labels"])]) == 0
+    with open(files[which], "ab") as f:
+        f.write(bytes(70))
+    code = main(_tiny_train(tmp_path) + [
+        "--data-source", "idx",
+        "--train-images", str(files["images"]), "--train-labels", str(files["labels"]),
+        "--test-images", str(files["images"]), "--test-labels", str(files["labels"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {files[which]}: 70 trailing bytes") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_gradcam_default_target_is_the_predicted_class(run_dir, tmp_path, capsys):

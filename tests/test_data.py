@@ -65,6 +65,16 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="offset 4"):
             data.load_idx(*paths)
 
+    @pytest.mark.parametrize("which,end", [(0, 16 + 2 * 16), (1, 8 + 2)], ids=["images", "labels"])
+    def test_trailing_bytes_name_offset(self, tmp_path, which, end):
+        images = np.zeros((2, 4, 4), dtype=np.uint8)
+        labels = np.zeros(2, dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, images, labels)
+        with open(paths[which], "ab") as f:
+            f.write(bytes(70))
+        with pytest.raises(FormatError, match=f"70 trailing bytes at byte offset {end}$"):
+            data.load_idx(*paths)
+
     def test_header_past_any_file_size_names_offset(self, tmp_path):
         path = tmp_path / "huge.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000803, *(0xFFFFFFFF,) * 3))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import MALFORMED_STATE
 from peerkd import data, trainer
 from peerkd.checkpoint import load_entries
 from peerkd.data import RunConfig, build_config
@@ -492,3 +493,51 @@ class TestRunExperiment:
                     assert np.isfinite([r.loss_ce, r.loss_kl, r.loss_g, r.loss_d]).all()
                 steps += 1
         assert steps >= 40
+
+
+
+def _state(plan, epoch=1):
+    """Every checkpoint entry of ``plan``, with unit standardization stats."""
+    stats = np.zeros(1, dtype=np.float32)
+    return trainer.plan_state_entries(plan, epoch, stats, stats + 1)
+
+
+def _state_bytes(plan):
+    return {name: arr.tobytes() for name, arr in _state(plan).items()}
+
+
+def _trained_entries(cfg):
+    """A copy of every checkpoint entry of ``cfg``'s plan after one AFD step."""
+    plan = build_plan(cfg)
+    afd_train_step(plan, *make_batch(cfg))
+    return {name: arr.copy() for name, arr in _state(plan).items()}
+
+
+def _assert_refused_untouched(plan, entries):
+    before = _state_bytes(plan)
+    with pytest.raises(ConfigError, match="has shape"):
+        trainer.restore_plan(plan, entries)
+    assert _state_bytes(plan) == before
+
+
+@pytest.mark.parametrize("name,shape", MALFORMED_STATE)
+def test_restore_refuses_malformed_state_before_any_write(name, shape):
+    cfg = tiny_cfg()
+    entries = _trained_entries(cfg)
+    entries[name] = np.zeros(shape, dtype=np.float32)
+    _assert_refused_untouched(build_plan(cfg), entries)
+
+
+def test_restore_refuses_other_disc_width_before_any_write():
+    entries = _trained_entries(tiny_cfg(disc_width=8))
+    plan = build_plan(tiny_cfg())
+    assert _state_bytes(plan)["net0/ext0.weight"] != entries["net0/ext0.weight"].tobytes()
+    _assert_refused_untouched(plan, entries)
+
+
+def test_restore_copies_every_entry():
+    cfg = tiny_cfg()
+    entries = _trained_entries(cfg)
+    plan = build_plan(cfg)
+    assert trainer.restore_plan(plan, entries) == 1
+    assert _state_bytes(plan) == {name: arr.tobytes() for name, arr in entries.items()}
