@@ -12,7 +12,6 @@ from .data import (Dataset, RunConfig, batches, build_config, channel_stats,
 from .losses import cross_entropy, kl_mimicry, l1_alignment, lsgan_d_loss, lsgan_g_loss
 from .optim import Adam, SGDMomentum, lr_at
 from .tensor import Tensor, backward, no_grad
-from .trainer import (DistillPlan, StepRecord, afd_train_step, baseline_train_step,
-                      build_plan, evaluate, run_experiment, train_step)
+from .trainer import DistillPlan, StepRecord, build_plan, evaluate, run_experiment, train_step
 
 __version__ = "0.1.0"

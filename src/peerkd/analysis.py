@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import eval_mode
 from .checkpoint import write_atomic
-from .data import Dataset
+from .data import Dataset, sequential_batches
 from .errors import ContractError, DataError, UsageError
 from .tensor import Tensor, backward, mean_all, no_grad, take_rows
 
@@ -52,8 +52,8 @@ def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) ->
         raise DataError("cannot compute similarity on an empty dataset")
     l1_sum = l2_sum = cos_sum = 0.0
     with eval_mode(net_a, net_b), no_grad():
-        for i in range(0, dataset.n, batch_size):
-            xt = Tensor(dataset.images[i:i + batch_size])
+        for x, _ in sequential_batches(dataset, batch_size):
+            xt = Tensor(x)
             fa = net_a.extract(xt).data.astype(np.float64)
             fb = net_b.extract(xt).data.astype(np.float64)
             va, vb = _paired_vectors(fa, fb)
@@ -106,7 +106,7 @@ def export_pgm(heatmap, path):
     arr = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
     if arr.ndim != 2:
         raise ContractError(f"heatmap must be 2-D, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ContractError(
             f"heatmap values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]"
         )

@@ -182,8 +182,7 @@ class Network(Module):
     """Feature extractor plus classifier head.
 
     ``forward`` returns the last-stage feature map and the logits from a
-    single pass; ``forward_count`` tallies extractor invocations so tests can
-    verify how often each training scheme re-runs inference.
+    single pass.
     """
 
     def __init__(self, extractor, feature_channels, head, num_classes):
@@ -191,18 +190,16 @@ class Network(Module):
         self.feature_channels = feature_channels
         self.head = head
         self.num_classes = num_classes
-        self.forward_count = 0
 
     def children(self):
         return [(f"ext{i}", layer) for i, layer in enumerate(self.extractor)] + [("head", self.head)]
 
     def forward(self, x: Tensor):
-        self.forward_count += 1
         feature = self.extract(x)
         return feature, self.head(T.global_avg_pool(feature), self.training)
 
     def extract(self, x: Tensor) -> Tensor:
-        """Feature map only (does not count as a scored forward)."""
+        """Feature map only, without the head."""
         h = x
         for layer in self.extractor:
             h = layer(h, self.training)

@@ -139,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gradcam)
 
     p = sub.add_parser("synth-data", help="generate a synthetic blob dataset as IDX files")
-    p.add_argument("--num-classes", type=int, default=6)
-    p.add_argument("--per-class", type=int, default=320)
-    p.add_argument("--image-size", type=int, default=16)
-    p.add_argument("--noise-std", type=float, default=0.35)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-classes", type=int, default=RunConfig.num_classes)
+    p.add_argument("--per-class", type=int, default=RunConfig.per_class_train)
+    p.add_argument("--image-size", type=int, default=RunConfig.image_size)
+    p.add_argument("--noise-std", type=float, default=RunConfig.noise_std)
+    p.add_argument("--seed", type=int, default=RunConfig.data_seed)
     p.add_argument("--images", required=True, help="output IDX image file")
     p.add_argument("--labels", required=True, help="output IDX label file")
     p.set_defaults(fn=_cmd_synth_data)

@@ -21,7 +21,18 @@ from .errors import ConfigError, DataError, FormatError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-METHODS = ("afd", "dml", "l1", "l1_kd", "l1_kd_offline", "kd_ensemble", "vanilla")
+# Each method's logit-loss terms: mimicry target (none, each incoming peer, or
+# the mean softened distribution of all nets) and L1 feature alignment
+# through the incoming edges' transfer layers (``trainer._net_loss``).
+METHODS = {
+    "afd": ("peer", False),
+    "dml": ("peer", False),
+    "l1": (None, True),
+    "l1_kd": ("peer", True),
+    "l1_kd_offline": ("peer", True),
+    "kd_ensemble": ("ensemble", False),
+    "vanilla": (None, False),
+}
 
 
 @dataclass
@@ -219,7 +230,7 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
+            raise ConfigError(f"unknown method {self.method!r}, expected one of {tuple(METHODS)}")
         if self.k and len(self.archs) not in (1, self.k):
             raise ConfigError(
                 f"k={self.k} conflicts with {len(self.archs)} arch specs"

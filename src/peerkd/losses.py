@@ -99,7 +99,7 @@ def kl_probs_mimicry(target_probs: np.ndarray, student_logits: Tensor,
 def _check_unit_range(name, scores: Tensor):
     lo = float(scores.data.min())
     hi = float(scores.data.max())
-    if lo < 0.0 or hi > 1.0:
+    if not (lo >= 0.0 and hi <= 1.0):
         raise ContractError(f"{name} must lie in [0, 1], got range [{lo}, {hi}]")
 
 

@@ -69,14 +69,14 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, names=None):
-        """Update the named parameters (all by default); skips absent grads.
+    def step(self, names):
+        """Update the named parameters; skips absent grads.
 
         Step counts are per parameter, so updating the discriminator and the
         extractor at different points in a batch keeps each bias correction
         consistent with how often that parameter actually moved.
         """
-        for name in (self.params if names is None else names):
+        for name in names:
             p = self.params[name]
             if p.grad is None:
                 continue

@@ -235,13 +235,6 @@ def absolute(a: Tensor) -> Tensor:
     return _make(np.abs(ad), (a,), vjp, "abs")
 
 
-def sum_all(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (np.full_like(a.data, g),)
-
-    return _make(np.sum(a.data, dtype=a.data.dtype), (a,), vjp, "sum")
-
-
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 

@@ -30,28 +30,13 @@ import numpy as np
 from . import losses as L
 from .blocks import build_discriminator, build_network, build_transfer_layer, eval_mode
 from .checkpoint import load_entries, save_entries, write_atomic
-from .data import (Dataset, RunConfig, batches, channel_stats, load_splits,
+from .data import (METHODS, Dataset, RunConfig, batches, channel_stats, load_splits,
                    sequential_batches, standardize)
 from .errors import ConfigError, DataError, FormatError, NonFiniteError
 from .optim import Adam, SGDMomentum, lr_at
 from .tensor import Tensor, backward, no_grad
 
 CSV_HEADER = "epoch,net_id,split,loss_ce,loss_kl,loss_g,loss_d,top1,ens_top1,lr_logit,lr_adv"
-
-# Logit-loss terms per method: mimicry target (none, each incoming peer, or
-# the mean softened distribution of all nets) and L1 feature alignment
-# through the incoming edges' transfer layers. Every method builds a net's
-# loss with ``_net_loss``; all but dml take one synchronous step
-# (``afd_logit_phase``), dml steps each net in turn.
-LOGIT_TERMS = {
-    "afd": ("peer", False),
-    "dml": ("peer", False),
-    "vanilla": (None, False),
-    "kd_ensemble": ("ensemble", False),
-    "l1": (None, True),
-    "l1_kd": ("peer", True),
-    "l1_kd_offline": ("peer", True),
-}
 
 
 def _child_seed(seed, *tags):
@@ -115,7 +100,7 @@ def build_plan(config: RunConfig) -> DistillPlan:
         nets[1].eval()
 
     adversarial = config.method == "afd" and config.adversarial
-    aligns = LOGIT_TERMS[config.method][1]
+    aligns = METHODS[config.method][1]
     needs_transfer = adversarial or aligns
     discriminators, transfer_layers = {}, {}
     for e, (src, dst) in enumerate(edges):
@@ -187,10 +172,10 @@ def forward_all(plan: DistillPlan, x: np.ndarray):
 
 def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
     """Net ``k``'s logit loss: cross-entropy plus the method's mimicry and
-    alignment terms (``LOGIT_TERMS``), with its StepRecord. ``target`` is the
+    alignment terms (``data.METHODS``), with its StepRecord. ``target`` is the
     ensemble's softened distribution, used when the mimicry is ``ensemble``;
     the peer and alignment terms come from net ``k``'s incoming edge."""
-    mimicry, align = LOGIT_TERMS[plan.method]
+    mimicry, align = METHODS[plan.method]
     ce = L.cross_entropy(y, logits[k])
     incoming = plan.incoming(k)
     rec = StepRecord(net_id=k, loss_ce=_finite(ce.item(), f"loss_ce[net{k}]"),
@@ -213,7 +198,7 @@ def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
 def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
     """Phase A: each trainable net's ``_net_loss``; one synchronous SGD step."""
     target = None
-    if LOGIT_TERMS[plan.method][0] == "ensemble":
+    if METHODS[plan.method][0] == "ensemble":
         target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
     plan.logit_opt.zero_grad()
     records = []
@@ -265,14 +250,6 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
         records[dst].loss_g = g_val
 
 
-def afd_train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
-    feats, logits = forward_all(plan, x)
-    records = afd_logit_phase(plan, y, feats, logits)
-    if plan.adv_opt is not None:
-        afd_adversarial_phase(plan, feats, records)
-    return records
-
-
 def _dml_step(plan, x, y):
     xt = Tensor(x)
     feats, logits = forward_all(plan, x)
@@ -292,18 +269,28 @@ def _dml_step(plan, x, y):
 
 
 def baseline_train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
+    """``train_step`` for a plan without phase B (the baselines and afd with
+    ``adversarial`` off); refuses a plan that has one."""
+    if plan.adv_opt is not None:
+        raise ConfigError(f"this {plan.method!r} plan has a phase B; use train_step")
     if plan.method == "dml":
         return _dml_step(plan, x, y)
-    if plan.method == "afd":
-        raise ConfigError(f"{plan.method!r} is not a baseline method")
     feats, logits = forward_all(plan, x)
     return afd_logit_phase(plan, y, feats, logits)
 
 
 def train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
-    if plan.method == "afd":
-        return afd_train_step(plan, x, y)
-    return baseline_train_step(plan, x, y)
+    """One batch step of ``plan``; returns one StepRecord per trained net.
+
+    With a phase-B optimizer: one forward per net, phase A, then phase B on
+    the same features. Every other plan takes ``baseline_train_step``.
+    """
+    if plan.adv_opt is None:
+        return baseline_train_step(plan, x, y)
+    feats, logits = forward_all(plan, x)
+    records = afd_logit_phase(plan, y, feats, logits)
+    afd_adversarial_phase(plan, feats, records)
+    return records
 
 
 def evaluate(nets, dataset: Dataset, batch_size: int = 256):
@@ -371,10 +358,12 @@ def restore_plan(plan: DistillPlan, entries: dict):
     """Load a checkpoint into ``plan``; returns the epoch it was saved at.
 
     ``plan_state_entries`` is the schema. The checkpoint must hold exactly
-    the entries ``plan`` saves (``FormatError``), each with the shape of the
-    array it names (``ConfigError``), optimizer state included. Every name
-    and shape is checked before anything is written, so a checkpoint from
-    another method, topology or architecture is refused with ``plan``
+    the entries ``plan`` saves (``FormatError``), its counters (the epoch and
+    the Adam step counts) must be whole numbers >= 0 (``FormatError``), and
+    each entry must have the shape of the array it names (``ConfigError``),
+    optimizer state included. All of it is checked before anything is
+    written, so a checkpoint from another method, topology or architecture,
+    or with a counter no run could have saved, is refused with ``plan``
     untouched. Each entry is then copied into its array in place, parameters
     included, so restore only between steps: a graph recorded before the
     restore would read the restored values.
@@ -386,6 +375,11 @@ def restore_plan(plan: DistillPlan, entries: dict):
         problem = "has no entry" if name in state else "has an extra entry"
         raise FormatError(f"checkpoint {problem} {name} for method {plan.method} "
                           f"with {len(plan.nets)} nets")
+    for name, count in entries.items():
+        if name == "meta/epoch" or (name.startswith("opt_adv/") and name.endswith("/t")):
+            if not np.all(np.isfinite(count) & (count >= 0) & (count == np.floor(count))):
+                raise FormatError(f"checkpoint entry {name} holds {count}, "
+                                  "expected a whole number >= 0")
     _copy_checked(state, entries)
     return int(state["meta/epoch"][0])
 

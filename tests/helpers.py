@@ -1,14 +1,18 @@
 """Shared test utilities: finite-difference gradient checking, a one-entry
-checkpoint file, malformed checkpoint state entries, and a file writer that
-fails partway."""
+checkpoint file, malformed checkpoint state entries, a file writer that
+fails partway, and a per-network forward counter."""
 
 import builtins
+import collections
+import contextlib
 import errno
 import io
 import struct
+from unittest import mock
 
 import numpy as np
 
+from peerkd import blocks
 from peerkd.tensor import Tensor, backward
 
 FD_H = 1e-5
@@ -72,6 +76,10 @@ MALFORMED_STATE = [("opt_logit/net0/ext0.weight/velocity", (1,)),
                    ("meta/epoch", (0,)),
                    ("data/mean", (2,))]
 
+# (entry name, value) of the same checkpoint: counters that are not whole numbers >= 0
+BAD_COUNTERS = [("meta/epoch", np.nan), ("meta/epoch", -3.0), ("meta/epoch", 0.5),
+                ("meta/epoch", np.inf), ("opt_adv/disc0/conv1.weight/t", np.nan)]
+
 
 class _FailingWriter(io.BufferedWriter):
     def __init__(self, raw):
@@ -96,3 +104,18 @@ def fail_binary_writes(monkeypatch):
         return _FailingWriter(io.FileIO(file, "w"))
 
     monkeypatch.setattr(builtins, "open", fake_open)
+
+
+@contextlib.contextmanager
+def count_forwards():
+    """Count the ``Network.forward`` calls made inside the block, per
+    network: ``calls[net]``."""
+    calls = collections.Counter()
+    forward = blocks.Network.forward
+
+    def counting_forward(net, x):
+        calls[net] += 1
+        return forward(net, x)
+
+    with mock.patch.object(blocks.Network, "forward", counting_forward):
+        yield calls

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_gradcheck
+from helpers import count_forwards, fd_gradcheck
 from peerkd import data, losses, trainer
 from peerkd.analysis import feature_similarity
 from peerkd.checkpoint import load_entries
@@ -111,7 +111,8 @@ def test_criterion_5_phase_isolation_and_forward_counts():
     x, y = _batch(cfg)
     disc_before = {e: {k: p.data.copy() for k, p in d.params().items()}
                    for e, d in plan.discriminators.items()}
-    feats, logits = forward_all(plan, x)
+    with count_forwards() as calls:
+        feats, logits = forward_all(plan, x)
     records = afd_logit_phase(plan, y, feats, logits)
     heads_after_a = [{k: p.data.copy() for k, p in net.head.params().items()}
                      for net in plan.nets]
@@ -128,14 +129,16 @@ def test_criterion_5_phase_isolation_and_forward_counts():
     disc_phase_b_ok = any(
         not np.array_equal(plan.discriminators[e].params()[k].data, disc_after_a[e][k])
         for e in disc_after_a for k in disc_after_a[e])
-    afd_counts = [net.forward_count for net in plan.nets] == [1, 1]
+    afd_counts = [calls[net] for net in plan.nets] == [1, 1]
     plan3 = build_plan(_plan_cfg(archs="tiny-a", k=3))
-    trainer.afd_train_step(plan3, x, y)
-    afd_counts = afd_counts and [n.forward_count for n in plan3.nets] == [1, 1, 1]
+    with count_forwards() as calls:
+        trainer.train_step(plan3, x, y)
+    afd_counts = afd_counts and [calls[n] for n in plan3.nets] == [1, 1, 1]
 
     dml_plan = build_plan(_plan_cfg(method="dml"))
-    trainer.baseline_train_step(dml_plan, x, y)
-    dml_counts = sum(net.forward_count for net in dml_plan.nets) == 3
+    with count_forwards() as calls:
+        trainer.train_step(dml_plan, x, y)
+    dml_counts = sum(calls[net] for net in dml_plan.nets) == 3
 
     report(5, heads_ok and disc_phase_a_ok and disc_phase_b_ok and afd_counts and dml_counts,
            "(heads bitwise-stable across phase B; D moves only in phase B; "

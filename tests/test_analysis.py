@@ -254,6 +254,9 @@ class TestExportPgm:
     def test_range_enforced(self, tmp_path):
         with pytest.raises(ContractError):
             analysis.export_pgm(np.asarray([[1.5]]), tmp_path / "x.pgm")
+        with pytest.raises(ContractError):
+            analysis.export_pgm(np.asarray([[0.5, np.nan]]), tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.pgm"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import count_forwards
 from peerkd import blocks
 from peerkd.errors import ConfigError, ShapeError
 from peerkd.tensor import Tensor, no_grad
@@ -99,10 +100,11 @@ class TestForwardNetwork:
     def test_forward_count_increments(self):
         net = blocks.build_network("tiny-a", 6, seed=3)
         x = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
-        assert net.forward_count == 0
-        net.forward(x)
-        net.forward(x)
-        assert net.forward_count == 2
+        with count_forwards() as calls:
+            assert calls[net] == 0
+            net.forward(x)
+            net.forward(x)
+        assert calls[net] == 2
 
     def test_shape_mismatch(self):
         net = blocks.build_network("tiny-a", 6, seed=3)

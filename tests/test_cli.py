@@ -5,11 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import MALFORMED_STATE, one_entry_afdk
+from helpers import BAD_COUNTERS, MALFORMED_STATE, one_entry_afdk
 from peerkd import data
 from peerkd.blocks import eval_mode
 from peerkd.checkpoint import load_entries, save_entries
-from peerkd.cli import main
+from peerkd.cli import build_parser, main
 from peerkd.tensor import Tensor, no_grad
 from peerkd.trainer import build_plan, restore_plan
 
@@ -71,24 +71,44 @@ def test_eval_refuses_checkpoint_of_another_method(run_dir, capsys):
     assert err.startswith("error:") and "disc0/" in err and "Traceback" not in err
 
 
+def _assert_refused(run_dir, tmp_path, capsys, command, entries, message):
+    """Save ``entries`` as a checkpoint, then ``eval`` it, or ``train
+    --resume`` from it into a new directory and into the run's own. Each
+    must exit 2 with ``message`` and leave every file as it was."""
+    bad = tmp_path / "bad.afdk"
+    save_entries(bad, entries)
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    flags = _common_flags(run_dir)[:-2]
+    if command == "train":
+        runs = [flags + ["--epochs", "2", "--resume", str(bad), "--out-dir", str(out)]
+                for out in (tmp_path / "resumed", run_dir)]
+    else:
+        runs = [flags + ["--checkpoint", str(bad)]]
+    for argv in runs:
+        code = main([command] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(message) and "Traceback" not in err
+    assert not (tmp_path / "resumed").exists()
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["eval", "train"])
 @pytest.mark.parametrize("name,shape", MALFORMED_STATE)
 def test_malformed_state_entry_is_refused(run_dir, tmp_path, capsys, command, name, shape):
     entries = load_entries(run_dir / "checkpoint_final.afdk")
     entries[name] = np.zeros(shape, dtype=np.float32)
-    bad = tmp_path / "bad.afdk"
-    save_entries(bad, entries)
-    flags = _common_flags(run_dir)[:-2]
-    if command == "train":
-        out = tmp_path / "resumed"
-        flags += ["--epochs", "2", "--resume", str(bad), "--out-dir", str(out)]
-    else:
-        flags += ["--checkpoint", str(bad)]
-    code = main([command] + flags)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"error: checkpoint entry {name} has shape") and "Traceback" not in err
-    assert command == "eval" or not out.exists()
+    _assert_refused(run_dir, tmp_path, capsys, command, entries,
+                    f"error: checkpoint entry {name} has shape")
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("name,value", BAD_COUNTERS)
+def test_bad_counter_is_refused(run_dir, tmp_path, capsys, command, name, value):
+    entries = load_entries(run_dir / "checkpoint_final.afdk")
+    entries[name] = np.full_like(entries[name], value)
+    _assert_refused(run_dir, tmp_path, capsys, command, entries,
+                    f"error: checkpoint entry {name} holds")
 
 
 def test_gradcam_writes_pgm(run_dir, tmp_path, capsys):
@@ -119,6 +139,14 @@ def test_synth_data_round_trips(tmp_path, capsys):
     assert ds.n == 20
     assert ds.images.shape == (20, 1, 12, 12)
     assert sorted(np.unique(ds.labels)) == [0, 1, 2, 3]
+
+
+def test_synth_data_defaults_are_the_run_config_defaults():
+    args = build_parser().parse_args(["synth-data", "--images", "i", "--labels", "l"])
+    cfg = data.RunConfig()
+    assert ((args.num_classes, args.per_class, args.image_size, args.noise_std, args.seed)
+            == (cfg.num_classes, cfg.per_class_train, cfg.image_size, cfg.noise_std,
+                cfg.data_seed))
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

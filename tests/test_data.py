@@ -1,6 +1,7 @@
 """IDX I/O, synthetic data, batching, and config parsing."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -228,7 +229,8 @@ class TestRunConfig:
             data.build_config({"not_a_field": "1"})
 
     def test_method_validation(self):
-        with pytest.raises(ConfigError):
+        names = "('afd', 'dml', 'l1', 'l1_kd', 'l1_kd_offline', 'kd_ensemble', 'vanilla')"
+        with pytest.raises(ConfigError, match=re.escape(f"expected one of {names}")):
             data.build_config({"method": "one"})
         with pytest.raises(ConfigError):
             data.build_config({"method": "afd", "archs": "tiny-a"})

@@ -27,7 +27,8 @@ def _away_from(x, threshold):
 
 def _readout(out, rng_weights):
     """Fixed random linear functional; keeps finite differences well conditioned."""
-    return T.sum_all(out * Tensor(rng_weights))
+    weighted = out * Tensor(rng_weights)
+    return T.mean_all(weighted) * weighted.size
 
 
 def _case_linear(rng):
@@ -66,7 +67,8 @@ def _case_batch_norm_train(rng):
         rm = np.zeros(2)
         rv = np.ones(2)
         out = T.batch_norm(ts[0], ts[1], ts[2], rm, rv, training=True)
-        return T.sum_all(out * Tensor(w))
+        weighted = out * Tensor(w)
+        return T.mean_all(weighted) * weighted.size
 
     return fn, [x, g, b]
 
@@ -194,7 +196,8 @@ def _case_discriminator(rng):
     x = rng.standard_normal((2, 2, 4, 4))
 
     def fn(ts):
-        return T.sum_all(disc.forward(ts[0]))
+        scores = disc.forward(ts[0])
+        return T.mean_all(scores) * scores.size
 
     return fn, [x]
 

@@ -205,6 +205,13 @@ class TestLSGAN:
             losses.lsgan_d_loss(bad, ok)
         with pytest.raises(ContractError):
             losses.lsgan_g_loss(Tensor(np.array([-0.1], dtype=np.float32)))
+        nan = Tensor(np.array([np.nan], dtype=np.float32))
+        with pytest.raises(ContractError):
+            losses.lsgan_d_loss(nan, ok)
+        with pytest.raises(ContractError):
+            losses.lsgan_d_loss(ok, nan)
+        with pytest.raises(ContractError):
+            losses.lsgan_g_loss(nan)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)

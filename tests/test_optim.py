@@ -96,7 +96,7 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.01, weight_decay=0.1)
         for g in grads:
             p.grad = g.copy()
-            opt.step()
+            opt.step(["p"])
         expect = reference_adam(init, [g.astype(np.float64) for g in grads], 0.01, wd=0.1)
         np.testing.assert_allclose(p.data, expect, rtol=1e-5)
 
@@ -114,7 +114,7 @@ class TestAdam:
         p = make_param([1.0, 2.0])
         opt = Adam({"p": p}, lr=0.01)
         p.grad = np.asarray([0.5, -0.5], dtype=np.float32)
-        opt.step()
+        opt.step(["p"])
         opt2 = Adam({"p": p}, lr=0.01)
         for name, arr in opt2.state_arrays().items():
             np.copyto(arr, opt.state_arrays()[name])

@@ -383,12 +383,14 @@ class TestPooling:
 class TestBackward:
     def test_sum_of_squares(self):
         x = t64([1.0, -2.0, 3.0], grad=True)
-        backward(T.sum_all(x * x), [x])
+        sq = x * x
+        backward(T.mean_all(sq) * sq.size, [x])
         np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0])
 
     def test_sigmoid_grad_quarter(self):
         x = t64([0.0], grad=True)
-        backward(T.sum_all(T.sigmoid(x)), [x])
+        s = T.sigmoid(x)
+        backward(T.mean_all(s) * s.size, [x])
         np.testing.assert_allclose(x.grad, [0.25])
 
     def test_non_scalar_raises(self):
@@ -399,13 +401,15 @@ class TestBackward:
     def test_wrt_entry_without_requires_grad_raises(self):
         x = t64([1.0], grad=True)
         c = t64([2.0])
+        xc = x * c
         with pytest.raises(UsageError):
-            backward(T.sum_all(x * c), [x, c])
+            backward(T.mean_all(xc) * xc.size, [x, c])
         assert x.grad is None  # refused before anything is written
 
     def test_accumulation_doubles(self):
         x = t64([1.5, -0.5], grad=True)
-        loss = T.sum_all(x * x)
+        sq = x * x
+        loss = T.mean_all(sq) * sq.size
         backward(loss, [x])
         first = x.grad.copy()
         backward(loss, [x])
@@ -414,7 +418,8 @@ class TestBackward:
     def test_unreachable_leaf_untouched(self):
         x = t64([1.0], grad=True)
         y = t64([2.0], grad=True)
-        backward(T.sum_all(x * x), [x, y])
+        sq = x * x
+        backward(T.mean_all(sq) * sq.size, [x, y])
         assert y.grad is None
 
     def test_linearity_power_of_two_exact(self):
@@ -446,7 +451,8 @@ class TestBackward:
     def test_grad_populated_on_intermediates(self):
         x = t64([2.0], grad=True)
         y = x * x
-        backward(T.sum_all(y * y), [y, x])
+        sq = y * y
+        backward(T.mean_all(sq) * sq.size, [y, x])
         np.testing.assert_allclose(y.grad, [8.0])  # d(y^2)/dy = 2y = 8
         np.testing.assert_allclose(x.grad, [32.0])  # d(x^4)/dx = 4x^3
 
@@ -454,7 +460,7 @@ class TestBackward:
         x = t64([3.0], grad=True)
         w = t64([2.0], grad=True)
         y = x * w
-        backward(T.sum_all(y), [x])
+        backward(T.mean_all(y) * y.size, [x])
         np.testing.assert_array_equal(x.grad, [2.0])
         assert w.grad is None and y.grad is None
 
@@ -465,7 +471,8 @@ class TestBackward:
         replayed = []
         vjp = below._vjp
         below._vjp = lambda g: replayed.append(g) or vjp(g)
-        backward(T.sum_all(feature * feature), [feature])
+        sq = feature * feature
+        backward(T.mean_all(sq) * sq.size, [feature])
         np.testing.assert_allclose(feature.grad, [4.0, 10.0])  # 2 * (x^2 + 1)
         assert replayed == [] and x.grad is None and below.grad is None
 
@@ -498,7 +505,8 @@ class TestTopoOrder:
         x = t64([1.0, 2.0], grad=True)
         y = x * x
         z = y + x  # diamond: x used twice
-        loss = T.sum_all(z * y)
+        zy = z * y
+        loss = T.mean_all(zy) * zy.size
         order = T.topo_order(loss)
         pos = {id(node): i for i, node in enumerate(order)}
         assert len(pos) == len(order)  # each op visited once

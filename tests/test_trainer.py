@@ -1,17 +1,18 @@
 """Topology, the two-phase step, baselines, evaluation, and experiments."""
 
+import re
+
 import numpy as np
 import pytest
 
-from helpers import MALFORMED_STATE
+from helpers import BAD_COUNTERS, MALFORMED_STATE, count_forwards
 from peerkd import data, trainer
 from peerkd.checkpoint import load_entries
 from peerkd.data import RunConfig, build_config
-from peerkd.errors import ConfigError
+from peerkd.errors import ConfigError, FormatError
 from peerkd.tensor import Tensor
-from peerkd.trainer import (afd_adversarial_phase, afd_logit_phase, afd_train_step,
-                            baseline_train_step, build_plan, evaluate, forward_all,
-                            run_experiment)
+from peerkd.trainer import (afd_adversarial_phase, afd_logit_phase, baseline_train_step,
+                            build_plan, evaluate, forward_all, run_experiment, train_step)
 
 
 def tiny_cfg(**kw):
@@ -96,7 +97,7 @@ class TestAfdStep:
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
         before = snapshot(plan.nets[0].params())
-        records = afd_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         assert records[0].loss_ce > 0
         assert not same(before, snapshot(plan.nets[0].params()))
 
@@ -158,7 +159,7 @@ class TestAfdStep:
             step(names)
 
         plan.adv_opt.step = recording_step
-        afd_train_step(plan, x, y)
+        train_step(plan, x, y)
         assert used.keys() == plan.adv_opt.params.keys()
         for name, p in plan.adv_opt.params.items():
             assert p.grad is used[name] is not None
@@ -178,7 +179,7 @@ class TestAfdStep:
             made.append(self)
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
-        afd_train_step(plan, x, y)
+        train_step(plan, x, y)
         recorded = [t for t in made if t._vjp is not None]
         ops = {t._op for t in recorded}
         assert {"conv2d", "sigmoid", "mean", "softened_kl"} <= ops
@@ -190,14 +191,15 @@ class TestAfdStep:
         cfg = tiny_cfg()
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
-        afd_train_step(plan, x, y)
-        assert [net.forward_count for net in plan.nets] == [1, 1]
+        with count_forwards() as calls:
+            train_step(plan, x, y)
+        assert [calls[net] for net in plan.nets] == [1, 1]
 
     def test_records_carry_all_losses(self):
         cfg = tiny_cfg()
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
-        records = afd_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         for r in records:
             assert r.loss_ce is not None and r.loss_kl is not None
             assert r.loss_g is not None and r.loss_d is not None
@@ -206,19 +208,38 @@ class TestAfdStep:
 
 
 class TestBaselines:
+    def test_logit_only_afd_takes_the_baseline_step(self):
+        """afd with ``adversarial`` off builds no Adam, and
+        ``baseline_train_step`` takes the same step on it as ``train_step``."""
+        cfg = tiny_cfg(adversarial="off")
+        x, y = make_batch(cfg)
+        plans = [build_plan(cfg), build_plan(cfg)]
+        assert all(plan.adv_opt is None and not plan.discriminators for plan in plans)
+        assert baseline_train_step(plans[0], x, y) == train_step(plans[1], x, y)
+        assert _state_bytes(plans[0]) == _state_bytes(plans[1])
+
+    def test_baseline_step_refuses_a_phase_b_plan(self):
+        cfg = tiny_cfg()
+        plan = build_plan(cfg)
+        before = _state_bytes(plan)
+        with pytest.raises(ConfigError, match="phase B"):
+            baseline_train_step(plan, *make_batch(cfg))
+        assert _state_bytes(plan) == before
+
     def test_dml_forward_counts(self):
         cfg = tiny_cfg(method="dml")
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
-        baseline_train_step(plan, x, y)
-        assert [net.forward_count for net in plan.nets] == [1, 2]
+        with count_forwards() as calls:
+            train_step(plan, x, y)
+        assert [calls[net] for net in plan.nets] == [1, 2]
 
     def test_dml_asynchronous_updates(self):
         cfg = tiny_cfg(method="dml")
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
         before1 = snapshot(plan.nets[1].params())
-        records = baseline_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         assert len(records) == 2
         assert not same(before1, snapshot(plan.nets[1].params()))
 
@@ -230,7 +251,7 @@ class TestBaselines:
                                        sorted(net.params().items())):
                 p.data = p0.data.copy()
         x, y = make_batch(cfg)
-        records = baseline_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         # the mixture equals each member; only log-path roundoff remains
         assert all(abs(r.loss_kl) <= 1e-6 for r in records)
 
@@ -245,7 +266,7 @@ class TestBaselines:
         x, _ = make_batch(cfg)
         y = np.zeros(len(x), dtype=np.int64)  # peaked on the true class
         before = snapshot(net.params())
-        baseline_train_step(plan, x, y)
+        train_step(plan, x, y)
         after = snapshot(net.params())
         worst = max(np.abs(after[k] - before[k]).max() for k in before)
         assert worst < 1e-6
@@ -254,14 +275,14 @@ class TestBaselines:
         cfg = tiny_cfg(method="l1", archs="tiny-a,tiny-b")
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
-        records = baseline_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         assert all(np.isfinite(r.loss_ce) for r in records)
 
     def test_l1_kd_has_kl_term(self):
         cfg = tiny_cfg(method="l1_kd")
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
-        records = baseline_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         assert all(r.loss_kl is not None for r in records)
 
     def test_offline_teacher_frozen(self, tmp_path):
@@ -276,7 +297,7 @@ class TestBaselines:
         assert not plan.nets[1].training  # teacher in eval mode
         x, y = make_batch(cfg)
         before = snapshot(plan.nets[1].params())
-        records = baseline_train_step(plan, x, y)
+        records = train_step(plan, x, y)
         assert same(before, snapshot(plan.nets[1].params()))
         assert [r.net_id for r in records] == [0]
 
@@ -489,7 +510,7 @@ class TestRunExperiment:
         steps = 0
         for epoch in range(14):
             for x, y in data.batches(ds, 32, cfg.seed, epoch):
-                for r in afd_train_step(plan, x, y):
+                for r in train_step(plan, x, y):
                     assert np.isfinite([r.loss_ce, r.loss_kl, r.loss_g, r.loss_d]).all()
                 steps += 1
         assert steps >= 40
@@ -509,13 +530,13 @@ def _state_bytes(plan):
 def _trained_entries(cfg):
     """A copy of every checkpoint entry of ``cfg``'s plan after one AFD step."""
     plan = build_plan(cfg)
-    afd_train_step(plan, *make_batch(cfg))
+    train_step(plan, *make_batch(cfg))
     return {name: arr.copy() for name, arr in _state(plan).items()}
 
 
-def _assert_refused_untouched(plan, entries):
+def _assert_refused_untouched(plan, entries, error=ConfigError, match="has shape"):
     before = _state_bytes(plan)
-    with pytest.raises(ConfigError, match="has shape"):
+    with pytest.raises(error, match=match):
         trainer.restore_plan(plan, entries)
     assert _state_bytes(plan) == before
 
@@ -526,6 +547,15 @@ def test_restore_refuses_malformed_state_before_any_write(name, shape):
     entries = _trained_entries(cfg)
     entries[name] = np.zeros(shape, dtype=np.float32)
     _assert_refused_untouched(build_plan(cfg), entries)
+
+
+@pytest.mark.parametrize("name,value", BAD_COUNTERS)
+def test_restore_refuses_bad_counter_before_any_write(name, value):
+    cfg = tiny_cfg()
+    entries = _trained_entries(cfg)
+    entries[name] = np.full_like(entries[name], value)
+    _assert_refused_untouched(build_plan(cfg), entries, FormatError,
+                              f"entry {re.escape(name)} holds")
 
 
 def test_restore_refuses_other_disc_width_before_any_write():
