@@ -30,6 +30,13 @@ write one ``peerkd gradcam`` heatmap, ``gradcam.pgm``, of net 1 on test
 sample 0 from that checkpoint, so the Grad-CAM backward is part of the
 comparison.
 
+The OpenBLAS core that ran (``blas_core.py``) is printed and written to
+``blas_core.txt`` in ``--out``: trained bytes are the same only under the
+same core, so ``diff -r`` of two directories written under different cores
+fails on that file. The number of usable CPUs does not matter: the peers'
+forward passes run concurrently on any number of them (``taskset -c 0``
+included), with the same bytes.
+
 A change that is meant to leave training and evaluation unchanged must give
 identical files:
 
@@ -58,6 +65,7 @@ import os
 import sys
 
 import peerkd
+from blas_core import blas_core
 from peerkd.blocks import eval_mode
 from peerkd.checkpoint import load_entries
 from peerkd.cli import main
@@ -131,6 +139,11 @@ def write_eval_logits(flags, run_dir):
 
 def run_all(out_root):
     print(f"peerkd from {os.path.dirname(peerkd.__file__)}")
+    core = blas_core()
+    print(f"OpenBLAS core {core}")
+    os.makedirs(out_root, exist_ok=True)
+    with open(os.path.join(out_root, "blas_core.txt"), "w") as f:
+        f.write(core + "\n")
     code = write_idx_data(out_root)
     if code != 0:
         return code

@@ -323,10 +323,15 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
 
 
 def load_splits(config: RunConfig):
-    """(train, test) raw datasets named by ``config``: IDX files or synthetic blobs."""
+    """(train, test) raw datasets named by ``config``: IDX files or synthetic
+    blobs. IDX labels must lie in [0, num_classes) (``DataError``)."""
     if config.data_source == "idx":
         train = load_idx(config.train_images, config.train_labels)
         test = load_idx(config.test_images, config.test_labels)
+        for ds, path in ((train, config.train_labels), (test, config.test_labels)):
+            if ds.n and ds.labels.max() >= config.num_classes:
+                raise DataError(f"{path}: label {ds.labels.max()} is out of range "
+                                f"[0, {config.num_classes})")
         train.split, test.split = "train", "test"
         return train, test
     train = synth_blobs(config.num_classes, config.per_class_train, config.image_size,

@@ -20,24 +20,30 @@ controls exactly when they reset.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (pure inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (pure inference), on the
+    calling thread only: ops that other threads run meanwhile still record."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -121,7 +127,7 @@ def _coerce(value, like: Tensor) -> Tensor:
 def _make(data, parents, vjp, op):
     """Wrap an op result; record the vjp when the graph is live and some
     parent requires a gradient."""
-    if _grad_enabled and any([p.requires_grad for p in parents]):
+    if _grad_mode.enabled and any([p.requires_grad for p in parents]):
         return Tensor(data, requires_grad=True, _prev=tuple(parents), _vjp=vjp, _op=op)
     return Tensor(data, _op=op)
 

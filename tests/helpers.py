@@ -76,9 +76,12 @@ MALFORMED_STATE = [("opt_logit/net0/ext0.weight/velocity", (1,)),
                    ("meta/epoch", (0,)),
                    ("data/mean", (2,))]
 
-# (entry name, value) of the same checkpoint: counters that are not whole numbers >= 0
+# (entry name, value) of the same checkpoint: counters that are not whole numbers >= 0,
+# then standardization statistics that are not finite, or a std that is not > 0
 BAD_COUNTERS = [("meta/epoch", np.nan), ("meta/epoch", -3.0), ("meta/epoch", 0.5),
-                ("meta/epoch", np.inf), ("opt_adv/disc0/conv1.weight/t", np.nan)]
+                ("meta/epoch", np.inf), ("opt_adv/disc0/conv1.weight/t", np.nan),
+                ("data/std", 0.0), ("data/std", -1.0), ("data/std", np.nan),
+                ("data/std", np.inf), ("data/mean", np.nan), ("data/mean", -np.inf)]
 
 
 class _FailingWriter(io.BufferedWriter):

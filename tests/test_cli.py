@@ -284,6 +284,22 @@ def test_train_refuses_idx_file_with_trailing_bytes(tmp_path, capsys, which):
     assert not (tmp_path / "run").exists()
 
 
+def test_idx_labels_past_num_classes_are_refused_before_anything_runs(run_dir, tmp_path,
+                                                                      capsys):
+    img, lbl = tmp_path / "d.images.idx", tmp_path / "d.labels.idx"
+    assert main(["synth-data", "--num-classes", "6", "--per-class", "2", "--image-size", "16",
+                 "--images", str(img), "--labels", str(lbl)]) == 0
+    files = ["--data-source", "idx", "--train-images", str(img), "--train-labels", str(lbl),
+             "--test-images", str(img), "--test-labels", str(lbl)]
+    for argv in (_tiny_train(tmp_path / "idx") + files, ["eval"] + _common_flags(run_dir) + files):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {lbl}: label 5 is out of range [0, 3)")
+        assert "Traceback" not in err
+    assert not (tmp_path / "idx").exists()
+
+
 def test_gradcam_default_target_is_the_predicted_class(run_dir, tmp_path, capsys):
     flags = _common_flags(run_dir) + ["--index", "1", "--net", "1"]
     assert main(["gradcam"] + flags + ["--out", str(tmp_path / "default.pgm")]) == 0

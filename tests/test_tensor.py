@@ -1,5 +1,7 @@
 """Forward oracles and backward semantics of the tensor engine."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,6 +483,26 @@ class TestBackward:
         with no_grad():
             y = x * x
         assert y._vjp is None and not y.requires_grad
+
+    def test_no_grad_on_one_thread_leaves_recording_on_in_another(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with no_grad():
+                entered.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold_no_grad)
+        holder.start()
+        try:
+            assert entered.wait(30)
+            x = t64([1.0], grad=True)
+            y = x * x
+        finally:
+            release.set()
+            holder.join(30)
+        assert not holder.is_alive()
+        assert y.requires_grad and y._vjp is not None
 
 
 class TestDeterminism:

@@ -1,16 +1,22 @@
 """Topology, the two-phase step, baselines, evaluation, and experiments."""
 
+import contextlib
+import multiprocessing
 import re
+import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import BAD_COUNTERS, MALFORMED_STATE, count_forwards
-from peerkd import data, trainer
+from peerkd import blocks, data, trainer
+from peerkd import losses as L
 from peerkd.checkpoint import load_entries
 from peerkd.data import RunConfig, build_config
 from peerkd.errors import ConfigError, FormatError
-from peerkd.tensor import Tensor
+from peerkd.tensor import Tensor, no_grad
 from peerkd.trainer import (afd_adversarial_phase, afd_logit_phase, baseline_train_step,
                             build_plan, evaluate, forward_all, run_experiment, train_step)
 
@@ -373,6 +379,138 @@ class _FailingLogitNet(_FixedLogitNet):
         if self.calls == 2:
             raise RuntimeError("second batch")
         return super().forward(x)
+
+
+class _TimedNet(_FixedLogitNet):
+    """Stub whose forward sleeps ``delay`` seconds, then raises ``error`` if
+    one is given; ``finished`` is set when the forward has returned or raised."""
+
+    def __init__(self, delay, error=None):
+        super().__init__([1.0, 0.0])
+        self.delay, self.error, self.finished = delay, error, False
+
+    def forward(self, x):
+        try:
+            time.sleep(self.delay)
+            if self.error:
+                raise RuntimeError(self.error)
+            return super().forward(x)
+        finally:
+            self.finished = True
+
+
+def _offline_cfg(tmp_path):
+    """An l1_kd_offline config whose teacher is net 0 of an untrained vanilla plan."""
+    teacher = tmp_path / "teacher.afdk"
+    stats = np.zeros(1, dtype=np.float32)
+    trainer.save_plan_checkpoint(build_plan(tiny_cfg(method="vanilla", archs="tiny-a")),
+                                 teacher, 0, stats, stats + 1)
+    return tiny_cfg(method="l1_kd_offline", teacher_checkpoint=str(teacher))
+
+
+def _sequential_forward(plan, x):
+    """``forward_all`` as a net-by-net loop on the calling thread."""
+    xt = Tensor(x)
+    outs = []
+    for i, net in enumerate(plan.nets):
+        with no_grad() if i in plan.frozen else contextlib.nullcontext():
+            outs.append(net.forward(xt))
+    return [f for f, _ in outs], [z for _, z in outs]
+
+
+def _sequential_evaluate(nets, dataset, batch_size):
+    """``evaluate`` as a net-by-net loop on the calling thread."""
+    correct, ens_correct = [0] * len(nets), 0
+    with blocks.eval_mode(*nets), no_grad():
+        for x, y in data.sequential_batches(dataset, batch_size):
+            prob_sum = None
+            for i, net in enumerate(nets):
+                probs = L.softmax_np(net.forward(Tensor(x))[1].data, 1.0)
+                correct[i] += int((probs.argmax(axis=1) == y).sum())
+                prob_sum = probs if prob_sum is None else prob_sum + probs
+            ens_correct += int(((prob_sum / len(nets)).argmax(axis=1) == y).sum())
+    return [c / dataset.n for c in correct], ens_correct / dataset.n
+
+
+class TestConcurrentPeers:
+    """``forward_all`` and ``evaluate`` run the nets concurrently, on any
+    number of usable CPUs, and give the bytes of a net-by-net loop."""
+
+    @staticmethod
+    def _run(runner, nets):
+        x = np.zeros((4, 1, 4, 4), dtype=np.float32)
+        if runner == "forward_all":
+            return forward_all(SimpleNamespace(nets=nets, frozen=set()), x)
+        return evaluate(nets, data.Dataset(x, np.zeros(4, dtype=np.int64), "test"))
+
+    @staticmethod
+    def _test_split():  # 21 images
+        raw = data.synth_blobs(3, 7, 16, 0.35, 4)
+        return data.standardize(raw, *data.channel_stats(raw))
+
+    @pytest.mark.parametrize("runner", ["forward_all", "evaluate"])
+    def test_a_failure_is_raised_after_every_net_finished(self, runner):
+        for nets in ([_TimedNet(0.0, "net0 failed"), _TimedNet(0.3)],
+                     [_TimedNet(0.3), _TimedNet(0.0, "net1 failed")]):
+            with pytest.raises(RuntimeError, match="failed"):
+                self._run(runner, nets)
+            assert all(net.finished for net in nets)
+
+    @pytest.mark.parametrize("runner", ["forward_all", "evaluate"])
+    @pytest.mark.parametrize("delays", [(0.0, 0.3, 0.0), (0.3, 0.0, 0.0)])
+    def test_two_failures_raise_the_first_in_net_order(self, runner, delays):
+        nets = [_TimedNet(delays[0]), _TimedNet(delays[1], "net1 failed"),
+                _TimedNet(delays[2], "net2 failed")]
+        with pytest.raises(RuntimeError, match="net1 failed"):
+            self._run(runner, nets)
+        assert all(net.finished for net in nets)
+
+    @pytest.mark.parametrize("offline", [False, True], ids=["afd_k3", "l1_kd_offline"])
+    def test_same_bytes_as_a_net_by_net_loop(self, tmp_path, offline):
+        cfg = _offline_cfg(tmp_path) if offline else tiny_cfg(archs="tiny-a", k=3)
+        x, _ = make_batch(cfg)
+        plans = [build_plan(cfg), build_plan(cfg)]
+        outs = [forward_all(plans[0], x), _sequential_forward(plans[1], x)]
+        for got, want in zip(*outs):
+            assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
+        # the BN running statistics of the training nets moved the same way
+        assert _state_bytes(plans[0]) == _state_bytes(plans[1])
+        feats, logits = outs[0]
+        for k in range(len(plans[0].nets)):
+            recorded = k not in plans[0].frozen
+            assert feats[k].requires_grad == logits[k].requires_grad == recorded
+        ds = self._test_split()
+        assert evaluate(plans[0].nets, ds, 8) == _sequential_evaluate(plans[1].nets, ds, 8)
+
+    def test_a_forked_child_runs_the_peers(self):
+        plan = build_plan(tiny_cfg())
+        x, _ = make_batch(tiny_cfg())
+        forward_all(plan, x)  # the pool's worker threads now exist, in this process only
+        child = multiprocessing.get_context("fork").Process(target=forward_all, args=(plan, x))
+        child.start()
+        child.join(60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+    def test_forward_counts_are_seen_from_every_thread(self):
+        """Three nets, and threads switched as often as the interpreter
+        allows: a lost count update would show."""
+        plan = build_plan(tiny_cfg(archs="tiny-a", k=3))
+        x, _ = make_batch(tiny_cfg())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with count_forwards() as calls:
+                forward_all(plan, x)
+            assert [calls[net] for net in plan.nets] == [1, 1, 1]
+            with count_forwards() as calls:
+                evaluate(plan.nets, self._test_split(), 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [calls[net] for net in plan.nets] == [21, 21, 21]
 
 
 class TestRunExperiment:
