@@ -15,7 +15,12 @@ flags again, resumed with ``--resume`` from that run's
 ``checkpoint_ep1.afdk`` into a directory of their own, so the restored
 parameters, buffers and SGD and Adam state are under the diff too. Every
 run uses 3 classes, 3 epochs, batch 32, 64 training and 16 test images per
-class, 16x16 images and milestone 1 for both learning rates. The IDX files
+class, 16x16 images and milestone 1 for both learning rates, except
+``afd_mixed_uneven``: the ``afd_mixed`` flags at batch 100 on 67 training
+images per class, so each epoch takes batches of 100, 100 and 1. That puts
+several of the conv backward's input-gradient slices, a short last slice
+and the one-image column view under the diff. A run's own flags come after
+the common ones, so they win. The IDX files
 are written first by ``peerkd synth-data`` into ``idx_data``, with seed 0
 for the training split and seed 1 for the test split. Only flags that
 every compared tree accepts are used.
@@ -86,6 +91,8 @@ RUNS = {
     "l1_mixed": ["--method", "l1", "--archs", "tiny-a,tiny-b"],
     "l1_kd": ["--method", "l1_kd", "--archs", "tiny-a,tiny-a"],
     "afd_mixed": ["--method", "afd", "--archs", "tiny-a,tiny-b"],
+    "afd_mixed_uneven": ["--method", "afd", "--archs", "tiny-a,tiny-b",
+                         "--batch-size", "100", "--per-class-train", "67"],
     "afd_k3": ["--method", "afd", "--archs", "tiny-a", "--k", "3"],
     # {out} is the --out directory; the vanilla run above has written the teacher
     "l1_kd_offline": ["--method", "l1_kd_offline", "--archs", "tiny-a,tiny-a",
@@ -154,12 +161,12 @@ def run_all(out_root):
     for name, flags, resume in runs:
         flags = [flag.format(out=out_root) for flag in flags]
         run_dir = os.path.join(out_root, name)
-        code = main(["train", *flags, *resume, *COMMON, "--out-dir", run_dir])
+        code = main(["train", *COMMON, *flags, *resume, "--out-dir", run_dir])
         if code != 0:
             return code
-        write_eval_logits([*flags, *COMMON], run_dir)
+        write_eval_logits([*COMMON, *flags], run_dir)
         if name in GRADCAM_RUNS:
-            code = main(["gradcam", *flags, *COMMON,
+            code = main(["gradcam", *COMMON, *flags,
                          "--checkpoint", os.path.join(run_dir, "checkpoint_final.afdk"),
                          "--net", "1", "--index", "0",
                          "--out", os.path.join(run_dir, "gradcam.pgm")])

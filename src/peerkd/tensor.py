@@ -15,12 +15,23 @@ writing into them, so a backward that runs after a step still
 differentiates the graph exactly as it was recorded. Gradients accumulate
 into ``Tensor.grad`` until explicitly cleared, so multi-phase optimization
 controls exactly when they reset.
+
+A recorded conv keeps its columns in the layout of the kernel-gradient
+GEMM's second operand, so no backward copies them. Its vjp takes the kernel
+gradient on the pool's worker thread (``_run_each``) while the calling
+thread takes the input gradient: numpy releases the GIL inside both GEMMs,
+and each half does the same arithmetic on any thread, so the gradients
+keep their bytes. ``trainer`` runs the peers' forward passes on the same
+pool.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -32,6 +43,47 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
+
+
+def _start_pool():
+    """(Re)start ``_POOL``: one worker per usable CPU beyond the caller's, and
+    at least one."""
+    global _POOL
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    _POOL = ThreadPoolExecutor(max(1, cpus - 1), thread_name_prefix="peerkd")
+
+
+def _share_malloc_arena():
+    """Have every thread allocate from the main thread's malloc arena (glibc's
+    ``M_ARENA_MAX`` = 1; a no-op where libc has no ``mallopt``). With an arena
+    per thread, how much freed activation memory each arena keeps depends on
+    the threads' timing, and peak RSS swung from run to run: 56.8 or 61.0 MB
+    for a K=3 ring at batch 16, where one thread reads 59.8 +- 0.1 MB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt(-8, 1)  # M_ARENA_MAX; before the pool's threads first allocate
+
+
+_share_malloc_arena()
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads: work sent to the old pool never runs
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _run_each(fn, items):
+    """``[fn(item) for item in items]``, run concurrently: the first item on
+    the calling thread, the rest on ``_POOL``. Every item finishes before this
+    returns or raises, and the first failure in item order is the one raised.
+    ``no_grad`` is per thread, so an item that must not record enters it itself.
+    Never call this from a pool thread: with one worker, the items it sends
+    would wait behind the item that waits for them."""
+    rest = [_POOL.submit(fn, item) for item in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        wait(rest)
+    return [first, *(f.result() for f in rest)]
 
 
 @contextlib.contextmanager
@@ -124,10 +176,15 @@ def _coerce(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` is recorded: the graph is live on this
+    thread and some parent requires a gradient."""
+    return _grad_mode.enabled and any([p.requires_grad for p in parents])
+
+
 def _make(data, parents, vjp, op):
-    """Wrap an op result; record the vjp when the graph is live and some
-    parent requires a gradient."""
-    if _grad_mode.enabled and any([p.requires_grad for p in parents]):
+    """Wrap an op result; record the vjp when ``_records(parents)``."""
+    if _records(parents):
         return Tensor(data, requires_grad=True, _prev=tuple(parents), _vjp=vjp, _op=op)
     return Tensor(data, _op=op)
 
@@ -321,6 +378,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (x, weight, bias), vjp, "linear")
 
 
+# The input gradient is taken this many images at a time. Its GEMM output and
+# col2im temporaries are then a slice's worth while the kernel gradient runs
+# beside them, which keeps the two halves' peak memory below that of one
+# unsliced input gradient; each image's GEMM and each tap's add order do not
+# depend on the slice, so neither do the bytes.
+GRAD_X_SLICE = 32
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
     """Sliding windows of a padded NCHW array as [B, C*kh*kw, L] columns."""
     b, c, h, w = x.shape
@@ -363,30 +428,48 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     wmat = kernel.data.reshape(c_out, -1)
     out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
     out += bias.data[None, :, None, None]
+    parents = (x, kernel, bias)
+    if not _records(parents):
+        return Tensor(out, _op="conv2d")
+    # the second operand that np.tensordot(go, cols, axes=([0, 2], [0, 2]))
+    # would build on every backward, built once here; at batch 1 it is a
+    # view, as in tensordot, and a contiguous copy would re-round the GEMM
+    rows = cols.transpose(0, 2, 1).reshape(b * oh * ow, -1)
     # a constant input (a data batch, a detached feature) costs no input
     # gradient; a recorded conv's kernel and bias are parameters
     need_x = x.requires_grad
     hp, wp = xp.shape[2:]
 
-    def vjp(g):
-        go = g.reshape(b, c_out, oh * ow)
-        g_kernel = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(c_out, kc, kh, kw)
-        g_x = None
-        if need_x:
-            g_cols = np.matmul(wmat.T, go).reshape(b, c_in, kh, kw, oh, ow)
-            # col2im sums the taps in an [H, W, B, C] buffer, so each tap's add
-            # runs along B*C-long rows, not output-width-long ones; the taps add
-            # in the same order from +0.0, so every sum keeps its bits
-            g_xp = np.zeros((hp, wp, b, c_in), dtype=x.data.dtype)
+    def kernel_grad(go):
+        # tensordot's own GEMM, on its own operands
+        return np.dot(go.transpose(1, 0, 2).reshape(c_out, -1), rows).reshape(c_out, kc, kh, kw)
+
+    def input_grad(go):
+        # col2im sums the taps in an [H, W, B, C] buffer, so each tap's add
+        # runs along B*C-long rows, not output-width-long ones; the taps add
+        # in the same order from +0.0, so every sum keeps its bits
+        g_xp = np.zeros((hp, wp, b, c_in), dtype=x.data.dtype)
+        for b0 in range(0, b, GRAD_X_SLICE):
+            part = go[b0:b0 + GRAD_X_SLICE]
+            g_cols = np.matmul(wmat.T, part).reshape(len(part), c_in, kh, kw, oh, ow)
+            g_part = g_xp[:, :, b0:b0 + GRAD_X_SLICE]
             for u in range(kh):
                 for v in range(kw):
-                    g_xp[u:u + stride * oh:stride, v:v + stride * ow:stride] += \
+                    g_part[u:u + stride * oh:stride, v:v + stride * ow:stride] += \
                         g_cols[:, :, u, v].transpose(2, 3, 0, 1)
-            g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
-            g_x = g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
+        g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
+        return g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
+
+    def vjp(g):
+        go = g.reshape(b, c_out, oh * ow)
+        if need_x:
+            # the kernel gradient on the pool's worker, beside the input gradient
+            g_x, g_kernel = _run_each(lambda half: half(go), (input_grad, kernel_grad))
+        else:
+            g_x, g_kernel = None, kernel_grad(go)
         return g_x, g_kernel, go.sum(axis=(0, 2))
 
-    return _make(out, (x, kernel, bias), vjp, "conv2d")
+    return _make(out, parents, vjp, "conv2d")
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -18,18 +18,17 @@ and before the discriminator's update in the same batch (see
 ``afd_adversarial_phase``).
 
 The per-net passes of ``forward_all`` and ``evaluate`` run concurrently,
-one net per thread (``_run_each``): numpy releases the GIL inside its GEMMs
-and large array loops, and each net's arithmetic is the same on any thread,
-so the results keep their bytes.
+one net per thread (``tensor._run_each``, the pool that each conv's backward
+also uses): numpy releases the GIL inside its GEMMs and large array loops,
+and each net's arithmetic is the same on any thread, so the results keep
+their bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,48 +40,9 @@ from .data import (METHODS, Dataset, RunConfig, batches, channel_stats, load_spl
                    sequential_batches, standardize)
 from .errors import ConfigError, DataError, FormatError, NonFiniteError
 from .optim import Adam, SGDMomentum, lr_at
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, _run_each, backward, no_grad
 
 CSV_HEADER = "epoch,net_id,split,loss_ce,loss_kl,loss_g,loss_d,top1,ens_top1,lr_logit,lr_adv"
-
-
-def _start_pool():
-    """(Re)start ``_POOL``: one worker per usable CPU beyond the caller's, and
-    at least one."""
-    global _POOL
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    _POOL = ThreadPoolExecutor(max(1, cpus - 1), thread_name_prefix="peerkd")
-
-
-def _share_malloc_arena():
-    """Have every thread allocate from the main thread's malloc arena (glibc's
-    ``M_ARENA_MAX`` = 1; a no-op where libc has no ``mallopt``). With an arena
-    per thread, how much freed activation memory each arena keeps depends on
-    the threads' timing, and peak RSS swung from run to run: 56.8 or 61.0 MB
-    for a K=3 ring at batch 16, where one thread reads 59.8 +- 0.1 MB."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
-    if mallopt is not None:
-        mallopt(-8, 1)  # M_ARENA_MAX; before the pool's threads first allocate
-
-
-_share_malloc_arena()
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads: work sent to the old pool never runs
-    os.register_at_fork(after_in_child=_start_pool)
-
-
-def _run_each(fn, items):
-    """``[fn(item) for item in items]``, run concurrently: the first item on
-    the calling thread, the rest on ``_POOL``. Every item finishes before this
-    returns or raises, and the first failure in item order is the one raised.
-    ``no_grad`` is per thread, so an item that must not record enters it itself."""
-    rest = [_POOL.submit(fn, item) for item in items[1:]]
-    try:
-        first = fn(items[0])
-    finally:
-        wait(rest)
-    return [first, *(f.result() for f in rest)]
 
 
 def _child_seed(seed, *tags):

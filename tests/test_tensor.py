@@ -188,6 +188,78 @@ class TestConv2d:
                      Tensor(np.zeros((2, 1, 1, 1), dtype=np.float32)), zero_bias(1))
 
 
+# (c_in, c_out, kernel size, stride, input size) of every conv the package
+# builds on 16x16 images: the extractor convs of tiny-a and tiny-b, the
+# discriminator's two convs at the default --disc-width 32 (on tiny-a's and
+# tiny-b's 4x4 features), and the 1x1 transfer layers of a tiny-a/tiny-b pair
+PACKAGE_CONVS = {
+    "tiny-a_1-16": (1, 16, 3, 1, 16), "tiny-a_16-64": (16, 64, 3, 1, 8),
+    "tiny-a_64-32": (64, 32, 3, 1, 4), "tiny-b_1-32": (1, 32, 3, 1, 16),
+    "tiny-b_32-128": (32, 128, 3, 1, 8), "tiny-b_128-64": (128, 64, 3, 1, 4),
+    "disc_32-32": (32, 32, 3, 2, 4), "disc_64-32": (64, 32, 3, 2, 4),
+    "disc_32-1": (32, 1, 3, 2, 2),
+    "transfer_32-64": (32, 64, 1, 1, 4), "transfer_64-32": (64, 32, 1, 1, 4),
+}
+
+
+def conv_reference(x, kernel, bias, stride, padding, g):
+    """Output and (input, kernel, bias) gradients of a conv, by formulas
+    that ``conv2d`` must match byte for byte: the kernel gradient by
+    ``np.tensordot`` over [B, K, L] columns, the input gradient by one
+    batched GEMM and one col2im over the whole batch."""
+    b, c_in, h, w = x.shape
+    c_out, _, kh, kw = kernel.shape
+    xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+    oh, ow = windows.shape[4:]
+    cols = windows.reshape(b, c_in * kh * kw, oh * ow)
+    wmat = kernel.reshape(c_out, -1)
+    out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
+    out += bias[None, :, None, None]
+    go = g.reshape(b, c_out, oh * ow)
+    g_kernel = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(kernel.shape)
+    g_cols = np.matmul(wmat.T, go).reshape(b, c_in, kh, kw, oh, ow)
+    g_xp = np.zeros((xp.shape[2], xp.shape[3], b, c_in), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            g_xp[u:u + stride * oh:stride, v:v + stride * ow:stride] += \
+                g_cols[:, :, u, v].transpose(2, 3, 0, 1)
+    g_x = g_xp.transpose(2, 3, 0, 1)[:, :, padding:padding + h, padding:padding + w]
+    return out, g_x, g_kernel, go.sum(axis=(0, 2))
+
+
+class TestConv2dBytes:
+    """The conv's output and gradients have the bytes of the reference
+    formulas on every conv shape the package trains, at batches of one image,
+    under one input-gradient slice (``T.GRAD_X_SLICE``), a whole number of
+    slices and a slice plus a one-image remainder."""
+
+    @pytest.mark.parametrize("need_x", [True, False], ids=["input_grad", "no_input_grad"])
+    @pytest.mark.parametrize("batch", [1, 8, 16, 33, 48, 128])
+    @pytest.mark.parametrize("conv", list(PACKAGE_CONVS))
+    def test_bytes_match_the_reference(self, conv, batch, need_x):
+        c_in, c_out, k, stride, size = PACKAGE_CONVS[conv]
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, c_in, size, size)).astype(np.float32)
+        kernel = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        bias = rng.standard_normal(c_out).astype(np.float32)
+        out = T.conv2d(Tensor(x, requires_grad=need_x), Tensor(kernel, requires_grad=True),
+                       Tensor(bias, requires_grad=True), stride=stride, padding=k // 2)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want_out, want_x, want_kernel, want_bias = conv_reference(
+            x, kernel, bias, stride, k // 2, g)
+        got_x, got_kernel, got_bias = out._vjp(g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert got_kernel.shape == kernel.shape and got_kernel.tobytes() == want_kernel.tobytes()
+        assert got_bias.tobytes() == want_bias.tobytes()
+        if need_x:
+            assert got_x.shape == x.shape and got_x.tobytes() == want_x.tobytes()
+        else:
+            assert got_x is None
+
+
 class TestBatchNorm:
     def _stats(self, c):
         return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)

@@ -483,10 +483,12 @@ class TestConcurrentPeers:
         assert evaluate(plans[0].nets, ds, 8) == _sequential_evaluate(plans[1].nets, ds, 8)
 
     def test_a_forked_child_runs_the_peers(self):
+        """The child runs the peers' forward passes and the conv backwards
+        that the pool serves, after the parent's pool has started."""
         plan = build_plan(tiny_cfg())
-        x, _ = make_batch(tiny_cfg())
-        forward_all(plan, x)  # the pool's worker threads now exist, in this process only
-        child = multiprocessing.get_context("fork").Process(target=forward_all, args=(plan, x))
+        x, y = make_batch(tiny_cfg())
+        train_step(plan, x, y)  # the pool's worker threads now exist, in this process only
+        child = multiprocessing.get_context("fork").Process(target=train_step, args=(plan, x, y))
         child.start()
         child.join(60)
         hung = child.is_alive()
