@@ -30,10 +30,14 @@ raw float32 bytes of every net's eval-mode logits on the standardized test
 split are written, net after net, to ``eval_logits.bin``. That covers the
 eval-mode kernels (batch norm on running statistics, pooling) to the last
 bit; a last-bit change there almost never moves a top-1 fraction in
-``metrics.csv``. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs also
-write one ``peerkd gradcam`` heatmap, ``gradcam.pgm``, of net 1 on test
-sample 0 from that checkpoint, so the Grad-CAM backward is part of the
-comparison.
+``metrics.csv``. This script restores the checkpoint itself, with the
+calls every compared tree has, rather than through ``trainer.restore_run``,
+which older trees lack. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs
+also write, from that checkpoint and through ``peerkd.cli.main``, the stdout
+of ``peerkd eval`` (``eval.txt``) and of ``peerkd analyze``
+(``analyze.csv``), and one ``peerkd gradcam`` heatmap, ``gradcam.pgm``, of
+net 1 on test sample 0, so the CLI's restore path and the Grad-CAM backward
+are part of the comparison.
 
 The OpenBLAS core that ran (``blas_core.py``) is printed and written to
 ``blas_core.txt`` in ``--out``: trained bytes are the same only under the
@@ -66,6 +70,7 @@ the test suite and to ``scripts/run_benchmark.py``:
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -144,6 +149,19 @@ def write_eval_logits(flags, run_dir):
             f.write(logits.data.tobytes())
 
 
+def write_restored_outputs(flags, run_dir):
+    """Run ``peerkd eval``, ``analyze`` and ``gradcam`` on the run's final
+    checkpoint; the first two write their stdout to a file of the run."""
+    restored = [*flags, "--checkpoint", os.path.join(run_dir, "checkpoint_final.afdk")]
+    for command, out_name in (("eval", "eval.txt"), ("analyze", "analyze.csv")):
+        with open(os.path.join(run_dir, out_name), "w") as f, contextlib.redirect_stdout(f):
+            code = main([command, *restored])
+        if code != 0:
+            return code
+    return main(["gradcam", *restored, "--net", "1", "--index", "0",
+                 "--out", os.path.join(run_dir, "gradcam.pgm")])
+
+
 def run_all(out_root):
     print(f"peerkd from {os.path.dirname(peerkd.__file__)}")
     core = blas_core()
@@ -166,10 +184,7 @@ def run_all(out_root):
             return code
         write_eval_logits([*COMMON, *flags], run_dir)
         if name in GRADCAM_RUNS:
-            code = main(["gradcam", *COMMON, *flags,
-                         "--checkpoint", os.path.join(run_dir, "checkpoint_final.afdk"),
-                         "--net", "1", "--index", "0",
-                         "--out", os.path.join(run_dir, "gradcam.pgm")])
+            code = write_restored_outputs([*COMMON, *flags], run_dir)
             if code != 0:
                 return code
     return 0

@@ -17,9 +17,8 @@ import time
 import numpy as np
 
 from peerkd.analysis import feature_similarity
-from peerkd.checkpoint import load_entries
-from peerkd.data import build_config, load_splits, standardize
-from peerkd.trainer import build_plan, restore_plan, run_experiment
+from peerkd.data import build_config
+from peerkd.trainer import restore_run, run_experiment
 
 
 def run_one(method, seed, args):
@@ -49,11 +48,7 @@ def run_one(method, seed, args):
 
     cosine = None
     if config.num_nets >= 2:
-        plan = build_plan(config)
-        entries = load_entries(os.path.join(out_dir, "checkpoint_final.afdk"))
-        restore_plan(plan, entries)
-        _, raw_test = load_splits(config)
-        test_ds = standardize(raw_test, entries["data/mean"], entries["data/std"])
+        plan, test_ds = restore_run(config, os.path.join(out_dir, "checkpoint_final.afdk"))
         rep = feature_similarity(plan.nets[0], plan.nets[1], test_ds)
         cosine = rep.cosine
     return accs, ens, cosine, elapsed

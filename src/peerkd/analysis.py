@@ -70,9 +70,10 @@ def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) ->
     return SimilarityReport(l1=l1_sum / n, l2=l2_sum / n, cosine=cos_sum / n, count=n)
 
 
-def grad_cam(net, image, target_class: int | None = None):
-    """Class-activation heatmap at feature-map resolution, values in [0, 1],
-    and the class it explains.
+def grad_cam(net, image: np.ndarray, target_class: int | None = None):
+    """Class-activation heatmap of one [C, H, W] or [1, C, H, W] image: a
+    float32 array at feature-map resolution, values in [0, 1], and the class
+    it explains.
 
     ``target_class`` defaults to the class the eval-mode forward predicts.
     Channel weights are the spatial mean of d(logit[target])/d(feature);
@@ -85,11 +86,9 @@ def grad_cam(net, image, target_class: int | None = None):
         raise DataError(
             f"target_class {target_class} out of range [0, {net.num_classes})"
         )
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
-    if arr.ndim == 3:
-        arr = arr[None]
+    arr = np.asarray(image, dtype=np.float32)
     with eval_mode(net):
-        feature, logit = net.forward(Tensor(arr))
+        feature, logit = net.forward(Tensor(arr[None] if arr.ndim == 3 else arr))
     if target_class is None:
         target_class = int(logit.data.argmax())
     backward(mean_all(take_rows(logit, np.asarray([target_class]))), [feature])
@@ -98,18 +97,17 @@ def grad_cam(net, image, target_class: int | None = None):
     peak = cam.max()
     if peak > 0:
         cam = cam / peak
-    return Tensor(cam.astype(np.float32)), target_class
+    return cam.astype(np.float32), target_class
 
 
-def export_pgm(heatmap, path):
-    """Write a [0,1] heatmap as binary PGM (P5, maxval 255)."""
-    arr = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
-    if arr.ndim != 2:
-        raise ContractError(f"heatmap must be 2-D, got shape {arr.shape}")
-    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+def export_pgm(heatmap: np.ndarray, path):
+    """Write a [0,1] heatmap array as binary PGM (P5, maxval 255)."""
+    if heatmap.ndim != 2:
+        raise ContractError(f"heatmap must be 2-D, got shape {heatmap.shape}")
+    if not (heatmap.min() >= 0.0 and heatmap.max() <= 1.0):
         raise ContractError(
-            f"heatmap values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]"
+            f"heatmap values must lie in [0, 1], got range [{heatmap.min()}, {heatmap.max()}]"
         )
-    h, w = arr.shape
-    payload = np.rint(arr * 255.0).astype(np.uint8)
+    h, w = heatmap.shape
+    payload = np.rint(heatmap * 255.0).astype(np.uint8)
     write_atomic(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), payload.tobytes()])

@@ -41,16 +41,12 @@ class Module:
     ``children`` yields its submodules by name. ``params()`` and
     ``buffers()`` give the module's own entries first, then each child's
     under ``<child name>.``. Layers take the mode as a call argument, so
-    ``train``/``eval`` only flip this module's flag.
+    ``eval`` only flips this module's flag.
     """
 
     training = True
     param_names = ()
     buffer_names = ()
-
-    def train(self):
-        self.training = True
-        return self
 
     def eval(self):
         self.training = False
@@ -87,18 +83,18 @@ def eval_mode(*modules):
             m.training = mode
 
 
-def _he_init(rng, shape, dtype):
+def _he_init(rng, shape):
     """He-normal weight of ``shape`` (fan-in over all but the first axis) and a zero bias."""
     std = np.sqrt(2.0 / math.prod(shape[1:]))
-    w = (rng.standard_normal(shape) * std).astype(dtype)
-    return Tensor(w, requires_grad=True), Tensor(np.zeros(shape[0], dtype=dtype), requires_grad=True)
+    w = (rng.standard_normal(shape) * std).astype(np.float32)
+    return Tensor(w, requires_grad=True), Tensor(np.zeros(shape[0], np.float32), requires_grad=True)
 
 
 class _Conv(Module):
     param_names = ("weight", "bias")
 
-    def __init__(self, rng, c_in, c_out, k, stride, dtype):
-        self.weight, self.bias = _he_init(rng, (c_out, c_in, k, k), dtype)
+    def __init__(self, rng, c_in, c_out, k, stride):
+        self.weight, self.bias = _he_init(rng, (c_out, c_in, k, k))
         self.stride = stride
         self.padding = k // 2
 
@@ -109,8 +105,8 @@ class _Conv(Module):
 class _Linear(Module):
     param_names = ("weight", "bias")
 
-    def __init__(self, rng, f_in, f_out, dtype):
-        self.weight, self.bias = _he_init(rng, (f_out, f_in), dtype)
+    def __init__(self, rng, f_in, f_out):
+        self.weight, self.bias = _he_init(rng, (f_out, f_in))
 
     def __call__(self, x, training):
         return T.linear(x, self.weight, self.bias)
@@ -120,11 +116,11 @@ class _BatchNorm(Module):
     param_names = ("gamma", "beta")
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels, dtype):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels):
+        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def __call__(self, x, training):
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
@@ -165,10 +161,10 @@ def _build_extractor(spec: str, rng):
         if min(sizes, default=1) < 1:
             raise ConfigError(f"block token {token!r}: sizes must be positive")
         if kind == "conv":
-            layers.append(_Conv(rng, channels, *sizes, np.float32))
+            layers.append(_Conv(rng, channels, *sizes))
             channels = sizes[0]
         elif kind == "bn":
-            layers.append(_BatchNorm(channels, np.float32))
+            layers.append(_BatchNorm(channels))
         elif kind == "relu":
             layers.append(_ReLU())
         else:
@@ -214,7 +210,7 @@ def build_network(arch_spec: str, num_classes: int, seed: int) -> Network:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
     rng = np.random.default_rng(seed)
     extractor, feature_channels = _build_extractor(PRESETS.get(arch_spec, arch_spec), rng)
-    head = _Linear(rng, feature_channels, num_classes, np.float32)
+    head = _Linear(rng, feature_channels, num_classes)
     return Network(extractor, feature_channels, head, num_classes)
 
 
@@ -248,14 +244,13 @@ class Discriminator(Module):
         return score
 
 
-def build_discriminator(in_channels: int, base_width: int, seed: int,
-                        dtype=np.float32) -> Discriminator:
+def build_discriminator(in_channels: int, base_width: int, seed: int) -> Discriminator:
     if in_channels < 1 or base_width < 1:
         raise ConfigError("in_channels and base_width must be positive")
     rng = np.random.default_rng(seed)
-    conv1 = _Conv(rng, in_channels, base_width, 3, 2, dtype)
-    bn = _BatchNorm(base_width, dtype)
-    conv2 = _Conv(rng, base_width, 1, 3, 2, dtype)
+    conv1 = _Conv(rng, in_channels, base_width, 3, 2)
+    bn = _BatchNorm(base_width)
+    conv2 = _Conv(rng, base_width, 1, 3, 2)
     return Discriminator(conv1, bn, conv2)
 
 
@@ -282,12 +277,12 @@ class IdentityTransfer(Module):
         return x
 
 
-def build_transfer_layer(c_in: int, c_out: int, seed: int, dtype=np.float32):
+def build_transfer_layer(c_in: int, c_out: int, seed: int):
     if c_in < 1 or c_out < 1:
         raise ConfigError("channel counts must be positive")
     if c_in == c_out:
         return IdentityTransfer()
     rng = np.random.default_rng(seed)
-    conv = _Conv(rng, c_in, c_out, 1, 1, dtype)
-    bn = _BatchNorm(c_out, dtype)
+    conv = _Conv(rng, c_in, c_out, 1, 1)
+    bn = _BatchNorm(c_out)
     return TransferLayer(conv, bn)

@@ -12,11 +12,9 @@ import dataclasses
 import sys
 
 from .analysis import export_pgm, feature_similarity, grad_cam
-from .checkpoint import load_entries
-from .data import (RunConfig, build_config, load_splits, parse_config_file,
-                   save_idx, standardize, synth_blobs)
+from .data import RunConfig, build_config, parse_config_file, save_idx, synth_blobs
 from .errors import PeerKDError, UsageError
-from .trainer import build_plan, evaluate, restore_plan, run_experiment
+from .trainer import evaluate, restore_run, run_experiment
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
@@ -38,15 +36,6 @@ def _config_from_args(args) -> RunConfig:
     return build_config(file_values, overrides)
 
 
-def _restored_plan(args):
-    config = _config_from_args(args)
-    plan = build_plan(config)
-    entries = load_entries(args.checkpoint)
-    restore_plan(plan, entries)
-    _, raw_test = load_splits(config)
-    return config, plan, standardize(raw_test, entries["data/mean"], entries["data/std"])
-
-
 def _cmd_train(args):
     config = _config_from_args(args)
     rows = run_experiment(config, resume_from=args.resume)
@@ -62,7 +51,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    config, plan, test_ds = _restored_plan(args)
+    config = _config_from_args(args)
+    plan, test_ds = restore_run(config, args.checkpoint)
     per_net, ens = evaluate(plan.nets, test_ds, config.batch_size)
     for k, acc in enumerate(per_net):
         print(f"net{k} top1 {acc:.4f}")
@@ -71,7 +61,8 @@ def _cmd_eval(args):
 
 
 def _cmd_analyze(args):
-    config, plan, test_ds = _restored_plan(args)
+    config = _config_from_args(args)
+    plan, test_ds = restore_run(config, args.checkpoint)
     print("method,pair,l1,l2,cosine,n")
     for i in range(len(plan.nets)):
         for j in range(i + 1, len(plan.nets)):
@@ -82,7 +73,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_gradcam(args):
-    _, plan, test_ds = _restored_plan(args)
+    plan, test_ds = restore_run(_config_from_args(args), args.checkpoint)
     for flag, value, count in (("--net", args.net, len(plan.nets)),
                                ("--index", args.index, test_ds.n)):
         if not 0 <= value < count:

@@ -52,40 +52,34 @@ class Dataset:
         return self.images.shape[0]
 
 
+def _read_idx(path, magic, kind, rank, count=None):
+    """The u8 payload of an IDX file, shaped by its header's ``rank`` dims; the
+    magic, then the first dim against ``count`` (when given), then the payload
+    length and the end of the file are checked, each naming its byte offset."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    chunk, off = take(buf, 0, 4 + 4 * rank, path)
+    found, *dims = struct.unpack(f">I{rank}I", chunk)
+    if found != magic:
+        raise FormatError(
+            f"{path}: bad {kind} magic 0x{found:08x} at byte offset 0, expected 0x{magic:08x}"
+        )
+    if count is not None and dims[0] != count:
+        raise FormatError(
+            f"{path}: {kind} count {dims[0]} at byte offset 4 does not match image count {count}"
+        )
+    payload, off = take(buf, off, math.prod(dims), path)
+    check_end(buf, off, path)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+
+
 def load_idx(path_images, path_labels) -> Dataset:
     """Read an IDX image/label file pair into a [0,1]-scaled dataset; each
     file must end where its header says."""
-    with open(path_images, "rb") as f:
-        buf = f.read()
-    chunk, off = take(buf, 0, 16, path_images)
-    magic, n, rows, cols = struct.unpack(">IIII", chunk)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(
-            f"{path_images}: bad image magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    payload, off = take(buf, off, n * rows * cols, path_images)
-    check_end(buf, off, path_images)
-    with open(path_labels, "rb") as f:
-        buf = f.read()
-    chunk, off = take(buf, 0, 8, path_labels)
-    magic, n_labels = struct.unpack(">II", chunk)
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(
-            f"{path_labels}: bad label magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    if n_labels != n:
-        raise FormatError(
-            f"{path_labels}: label count {n_labels} at byte offset 4 does not "
-            f"match image count {n}"
-        )
-    label_bytes, off = take(buf, off, n_labels, path_labels)
-    check_end(buf, off, path_labels)
-    images = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
-    images = images.reshape(n, 1, rows, cols)
-    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return Dataset(images, labels)
+    pixels = _read_idx(path_images, IDX_IMAGE_MAGIC, "image", 3)
+    labels = _read_idx(path_labels, IDX_LABEL_MAGIC, "label", 1, count=pixels.shape[0])
+    images = pixels[:, None].astype(np.float32) / 255.0
+    return Dataset(images, labels.astype(np.int64))
 
 
 def save_idx(dataset: Dataset, path_images, path_labels):
@@ -231,6 +225,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}, expected one of {tuple(METHODS)}")
+        if self.k < 0:
+            raise ConfigError(f"k must be >= 0, got {self.k}")
         if self.k and len(self.archs) not in (1, self.k):
             raise ConfigError(
                 f"k={self.k} conflicts with {len(self.archs)} arch specs"

@@ -406,6 +406,17 @@ def restore_plan(plan: DistillPlan, entries: dict):
     return int(state["meta/epoch"][0])
 
 
+def restore_run(config: RunConfig, checkpoint):
+    """The plan of ``config`` restored from the file ``checkpoint``
+    (``restore_plan``), and ``config``'s test split standardized by the
+    checkpoint's data statistics, in that order."""
+    plan = build_plan(config)
+    entries = load_entries(checkpoint)
+    restore_plan(plan, entries)
+    _, raw_test = load_splits(config)
+    return plan, standardize(raw_test, entries["data/mean"], entries["data/std"])
+
+
 def save_plan_checkpoint(plan, path, epoch, mean, std):
     save_entries(path, plan_state_entries(plan, epoch, mean, std))
 
@@ -445,6 +456,22 @@ def _rows_through(csv_path, epoch):
     return [line for line, e in zip(lines, epochs) if e.isdigit() and int(e) <= epoch]
 
 
+def _check_feature_maps(plan: DistillPlan, x: np.ndarray):
+    """Refuse (``ShapeError``) a plan whose discriminators or L1 alignment
+    cannot take its nets' feature maps, from one eval-mode, graph-free pass
+    of ``x`` on the calling thread: no random draw, no running-stat update."""
+    with eval_mode(*(module for _, module in plan.modules())), no_grad():
+        feats = [net.extract(Tensor(x)) for net in plan.nets]
+        for e, transfer in plan.transfer_layers.items():
+            src, dst = plan.edges[e]
+            own = transfer.forward(feats[dst])
+            if e in plan.discriminators:
+                plan.discriminators[e].forward(feats[src])
+                plan.discriminators[e].forward(own)
+            else:  # the transfer layer of an L1 alignment
+                L.l1_alignment(own, feats[src])
+
+
 def run_experiment(config: RunConfig, resume_from=None):
     """Train per config; returns the metric rows written to metrics.csv.
 
@@ -467,6 +494,7 @@ def run_experiment(config: RunConfig, resume_from=None):
         mean, std = entries["data/mean"], entries["data/std"]
     train_ds = standardize(raw_train, mean, std)
     test_ds = standardize(raw_test, mean, std)
+    _check_feature_maps(plan, train_ds.images[:1])
 
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "metrics.csv")

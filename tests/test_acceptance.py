@@ -20,7 +20,7 @@ from peerkd.data import build_config
 from peerkd.optim import lr_at
 from peerkd.tensor import Tensor
 from peerkd.trainer import (afd_adversarial_phase, afd_logit_phase, build_plan,
-                            forward_all, restore_plan, run_experiment)
+                            forward_all, restore_plan, restore_run, run_experiment)
 from test_gradients import GRAD_CASES, case_rng
 
 SEEDS = (0, 1, 2)
@@ -174,11 +174,7 @@ def trained_runs(tmp_path_factory):
             ens = final[-1]["ens_top1"]
             cosine = None
             if cfg.num_nets == 2:
-                plan = build_plan(cfg)
-                entries = load_entries(os.path.join(out_dir, "checkpoint_final.afdk"))
-                restore_plan(plan, entries)
-                _, raw_test = data.load_splits(cfg)
-                test_ds = data.standardize(raw_test, entries["data/mean"], entries["data/std"])
+                plan, test_ds = restore_run(cfg, os.path.join(out_dir, "checkpoint_final.afdk"))
                 cosine = feature_similarity(plan.nets[0], plan.nets[1], test_ds).cosine
             results[(method, seed)] = (accs, ens, cosine)
     return results

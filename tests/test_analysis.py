@@ -149,7 +149,7 @@ class TestGradCam:
     def test_single_channel_uniform_gradient(self):
         net = _passthrough_net(head_rows=[[2.0], [-1.0]])
         img = np.random.default_rng(5).standard_normal((1, 4, 4)).astype(np.float32)
-        cam = analysis.grad_cam(net, img, target_class=0)[0].data
+        cam = analysis.grad_cam(net, img, target_class=0)[0]
         expect = np.maximum(img[0], 0.0)
         expect = expect / expect.max()
         np.testing.assert_allclose(cam, expect, atol=1e-6)
@@ -157,7 +157,7 @@ class TestGradCam:
     def test_zero_head_row_gives_zero_map(self):
         net = _passthrough_net(head_rows=[[0.0], [1.0]])
         img = np.abs(np.random.default_rng(6).standard_normal((1, 4, 4))).astype(np.float32)
-        cam = analysis.grad_cam(net, img, target_class=0)[0].data
+        cam = analysis.grad_cam(net, img, target_class=0)[0]
         np.testing.assert_array_equal(cam, np.zeros((4, 4), dtype=np.float32))
 
     def test_two_channel_hand_fixture(self):
@@ -169,7 +169,7 @@ class TestGradCam:
         net.head.weight.data = np.asarray([[1.0, 2.0], [0.0, 0.0]], dtype=np.float32)
         net.head.bias.data = np.zeros(2, dtype=np.float32)
         img = np.asarray([[[1.0, -2.0], [0.5, 4.0]]], dtype=np.float32)
-        cam = analysis.grad_cam(net, img, target_class=0)[0].data
+        cam = analysis.grad_cam(net, img, target_class=0)[0]
         feat = np.stack([3.0 * img[0], -1.0 * img[0]])
         weights = np.asarray([1.0, 2.0]) / 4.0  # spatial mean of dz/dfeature
         expect = np.maximum(weights[0] * feat[0] + weights[1] * feat[1], 0.0)
@@ -181,7 +181,7 @@ class TestGradCam:
         x = Tensor(np.random.default_rng(7).standard_normal((2, 1, 16, 16)).astype(np.float32))
         net.forward(x)  # populate BN running stats
         img = np.random.default_rng(8).standard_normal((1, 16, 16)).astype(np.float32)
-        cam = analysis.grad_cam(net, img, target_class=1)[0].data
+        cam = analysis.grad_cam(net, img, target_class=1)[0]
         assert cam.min() >= 0.0 and cam.max() <= 1.0
         assert cam.max() == 1.0 or not cam.any()
 
@@ -195,7 +195,7 @@ class TestGradCam:
         cam, target = analysis.grad_cam(net, img)
         explicit, explicit_target = analysis.grad_cam(net, img, predicted)
         assert target == explicit_target == predicted
-        assert cam.data.tobytes() == explicit.data.tobytes()
+        assert cam.tobytes() == explicit.tobytes()
         assert net.training
 
     def test_bad_target_class(self):
@@ -204,7 +204,7 @@ class TestGradCam:
             analysis.grad_cam(net, np.zeros((1, 4, 4), dtype=np.float32), target_class=2)
 
     def test_mode_restored_when_forward_raises(self):
-        net = _passthrough_net().train()
+        net = _passthrough_net()
         with pytest.raises(ShapeError):  # 3 input channels into a 1-channel conv
             analysis.grad_cam(net, np.zeros((3, 4, 4), dtype=np.float32), target_class=0)
         assert net.training

@@ -11,7 +11,7 @@ from peerkd.blocks import eval_mode
 from peerkd.checkpoint import load_entries, save_entries
 from peerkd.cli import build_parser, main
 from peerkd.tensor import Tensor, no_grad
-from peerkd.trainer import build_plan, restore_plan
+from peerkd.trainer import restore_run
 
 
 @pytest.fixture()
@@ -228,6 +228,23 @@ def test_train_refuses_non_finite_values_up_front(tmp_path, capsys, flag, value,
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--method", "afd", "--archs", "tiny-a,tiny-a", "--image-size", "8"],
+     "discriminator needs spatial extent >= 4, got 2x2"),
+    (["--method", "l1", "--archs", "conv:8:3:1-bn-relu-pool:2,conv:8:3:1-bn-relu"],
+     "feature shapes differ"),
+], ids=["afd_2x2_features", "l1_unequal_features"])
+def test_train_refuses_feature_maps_the_plan_cannot_take_before_writing(tmp_path, capsys,
+                                                                        flags, message):
+    code = main(["train", *flags, "--num-classes", "3", "--epochs", "1",
+                 "--per-class-train", "8", "--per-class-test", "4",
+                 "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_refuses_malformed_config_file_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("method = vanilla\nbatch_size = big\n")
@@ -307,11 +324,7 @@ def test_gradcam_default_target_is_the_predicted_class(run_dir, tmp_path, capsys
     config = data.build_config(overrides=dict(
         method="afd", archs="tiny-a,tiny-a", num_classes="3", batch_size="16",
         per_class_train="8", per_class_test="4", image_size="16", seed="0"))
-    plan = build_plan(config)
-    entries = load_entries(run_dir / "checkpoint_final.afdk")
-    restore_plan(plan, entries)
-    test = data.standardize(data.load_splits(config)[1], entries["data/mean"],
-                            entries["data/std"])
+    plan, test = restore_run(config, run_dir / "checkpoint_final.afdk")
     with eval_mode(plan.nets[1]), no_grad():
         predicted = int(plan.nets[1].forward(Tensor(test.images[1:2]))[1].data.argmax())
     assert main(["gradcam"] + flags + ["--target-class", str(predicted),

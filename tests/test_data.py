@@ -243,6 +243,10 @@ class TestRunConfig:
         cfg = data.build_config({"method": "afd", "archs": "tiny-a", "k": "3"})
         assert cfg.resolved_archs() == ["tiny-a"] * 3
 
+    def test_negative_k_is_refused_by_name(self):
+        with pytest.raises(ConfigError, match="^k must be >= 0, got -2$"):
+            data.build_config({"archs": "tiny-a", "k": "-2"})
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("just some words\n")

@@ -190,9 +190,15 @@ def _case_l1_alignment(rng):
     return lambda ts: losses.l1_alignment(ts[0], peer), [a]
 
 
+def _float64(module):
+    """``module`` with its parameters converted to float64, for the finite differences."""
+    for p in module.params().values():
+        p.data = p.data.astype(np.float64)
+    return module
+
+
 def _case_discriminator(rng):
-    disc = blocks.build_discriminator(2, 4, seed=int(rng.integers(0, 10_000)),
-                                      dtype=np.float64)
+    disc = _float64(blocks.build_discriminator(2, 4, seed=int(rng.integers(0, 10_000))))
     x = rng.standard_normal((2, 2, 4, 4))
 
     def fn(ts):
@@ -203,8 +209,7 @@ def _case_discriminator(rng):
 
 
 def _case_transfer_layer(rng):
-    tr = blocks.build_transfer_layer(2, 3, seed=int(rng.integers(0, 10_000)),
-                                     dtype=np.float64)
+    tr = _float64(blocks.build_transfer_layer(2, 3, seed=int(rng.integers(0, 10_000))))
     x = rng.standard_normal((2, 2, 3, 3)) + 0.5
 
     def fn(ts):

@@ -516,6 +516,16 @@ class TestConcurrentPeers:
 
 
 class TestRunExperiment:
+    def test_feature_map_check_leaves_the_plan_as_it_was(self):
+        cfg = tiny_cfg(archs="tiny-a,tiny-b")
+        plan = build_plan(cfg)
+        stats = np.zeros(1, dtype=np.float32)
+        before = {n: a.copy() for n, a in trainer.plan_state_entries(plan, 0, stats, stats).items()}
+        trainer._check_feature_maps(plan, make_batch(cfg, n=1)[0])
+        after = trainer.plan_state_entries(plan, 0, stats, stats)
+        assert same(before, after)
+        assert all(module.training for _, module in plan.modules())
+
     def test_identical_seed_identical_csv_bytes(self, tmp_path):
         cfg_a = tiny_cfg(out_dir=str(tmp_path / "a"))
         cfg_b = tiny_cfg(out_dir=str(tmp_path / "b"))
