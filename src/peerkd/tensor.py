@@ -17,18 +17,20 @@ into ``Tensor.grad`` until explicitly cleared, so multi-phase optimization
 controls exactly when they reset.
 
 A recorded conv keeps its columns in the layout of the kernel-gradient
-GEMM's second operand, so no backward copies them. Its vjp takes the kernel
-gradient on the pool's worker thread (``_run_each``) while the calling
-thread takes the input gradient: numpy releases the GIL inside both GEMMs,
-and each half does the same arithmetic on any thread, so the gradients
-keep their bytes. ``trainer`` runs the peers' forward passes on the same
-pool.
+GEMM's second operand, so no backward copies them. Its vjp puts the kernel
+gradient and the input gradient's slices of ``GRAD_X_SLICE`` images on one
+work queue (``_run_each``) that the calling thread and the pool's workers
+share: numpy releases the GIL inside the GEMMs, each slice writes its own
+images of one gradient buffer, and every item does the same arithmetic on
+any thread, so the gradients keep their bytes. ``trainer`` runs the peers'
+forward passes and its evaluation batches on the same queue.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -47,10 +49,11 @@ _grad_mode = _GradMode()
 
 def _start_pool():
     """(Re)start ``_POOL``: one worker per usable CPU beyond the caller's, and
-    at least one."""
-    global _POOL
+    at least one; ``_WORKERS`` is their count."""
+    global _POOL, _WORKERS
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    _POOL = ThreadPoolExecutor(max(1, cpus - 1), thread_name_prefix="peerkd")
+    _WORKERS = max(1, cpus - 1)
+    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="peerkd")
 
 
 def _share_malloc_arena():
@@ -72,18 +75,42 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_each(fn, items):
-    """``[fn(item) for item in items]``, run concurrently: the first item on
-    the calling thread, the rest on ``_POOL``. Every item finishes before this
-    returns or raises, and the first failure in item order is the one raised.
-    ``no_grad`` is per thread, so an item that must not record enters it itself.
-    Never call this from a pool thread: with one worker, the items it sends
-    would wait behind the item that waits for them."""
-    rest = [_POOL.submit(fn, item) for item in items[1:]]
+    """``[fn(item) for item in items]``, run concurrently from one work queue:
+    the calling thread and up to ``_WORKERS`` pool threads each take the next
+    item under one lock until none is left, so one thread runs at most one
+    item at a time and the caller always runs item 0. Results come back in
+    item order. Every item finishes before this returns or raises, and the
+    first failure in item order is the one raised. ``no_grad`` is per thread,
+    so an item that must not record enters it itself. Never call this from a
+    pool thread: with one worker, the helper it sends would wait behind the
+    call that waits for it."""
+    results, errors = [None] * len(items), [None] * len(items)
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def take():
+        with lock:
+            return next(order, None)
+
+    def drain(i):
+        while i is not None:
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:  # raised below, in item order
+                errors[i] = exc
+            i = take()
+
+    mine = take()  # before any helper can start, so item 0 stays on this thread
+    helpers = [_POOL.submit(lambda: drain(take())) for _ in range(min(_WORKERS, len(items) - 1))]
     try:
-        first = fn(items[0])
+        drain(mine)
     finally:
-        wait(rest)
-    return [first, *(f.result() for f in rest)]
+        wait(helpers)
+    for helper in helpers:
+        helper.result()  # what ended a helper early, other than an item's Exception
+    first = next((exc for exc in errors if exc is not None), None)
+    if first is not None:
+        raise first
+    return results
 
 
 @contextlib.contextmanager
@@ -378,11 +405,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (x, weight, bias), vjp, "linear")
 
 
-# The input gradient is taken this many images at a time. Its GEMM output and
-# col2im temporaries are then a slice's worth while the kernel gradient runs
-# beside them, which keeps the two halves' peak memory below that of one
-# unsliced input gradient; each image's GEMM and each tap's add order do not
-# depend on the slice, so neither do the bytes.
+# The input gradient is taken this many images at a time, one work-queue item
+# per slice. Its GEMM output and col2im temporaries are then a slice's worth
+# per thread, beside the kernel gradient or another slice, which keeps the
+# conv backward's peak memory below that of one unsliced input gradient; each
+# image's GEMM and each tap's add order do not depend on the slice, so
+# neither do the bytes.
 GRAD_X_SLICE = 32
 
 
@@ -444,12 +472,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # tensordot's own GEMM, on its own operands
         return np.dot(go.transpose(1, 0, 2).reshape(c_out, -1), rows).reshape(c_out, kc, kh, kw)
 
-    def input_grad(go):
+    def vjp(g):
+        go = g.reshape(b, c_out, oh * ow)
+        if not need_x:
+            return None, kernel_grad(go), go.sum(axis=(0, 2))
         # col2im sums the taps in an [H, W, B, C] buffer, so each tap's add
         # runs along B*C-long rows, not output-width-long ones; the taps add
         # in the same order from +0.0, so every sum keeps its bits
         g_xp = np.zeros((hp, wp, b, c_in), dtype=x.data.dtype)
-        for b0 in range(0, b, GRAD_X_SLICE):
+
+        def input_slice(b0):
             part = go[b0:b0 + GRAD_X_SLICE]
             g_cols = np.matmul(wmat.T, part).reshape(len(part), c_in, kh, kw, oh, ow)
             g_part = g_xp[:, :, b0:b0 + GRAD_X_SLICE]
@@ -457,16 +489,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                 for v in range(kw):
                     g_part[u:u + stride * oh:stride, v:v + stride * ow:stride] += \
                         g_cols[:, :, u, v].transpose(2, 3, 0, 1)
-        g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
-        return g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
 
-    def vjp(g):
-        go = g.reshape(b, c_out, oh * ow)
-        if need_x:
-            # the kernel gradient on the pool's worker, beside the input gradient
-            g_x, g_kernel = _run_each(lambda half: half(go), (input_grad, kernel_grad))
-        else:
-            g_x, g_kernel = None, kernel_grad(go)
+        # input slice 0 first, on the calling thread, then the kernel gradient,
+        # so a conv of up to GRAD_X_SLICE images splits as two halves
+        tasks = [functools.partial(input_slice, b0) for b0 in range(0, b, GRAD_X_SLICE)]
+        tasks.insert(1, functools.partial(kernel_grad, go))
+        g_kernel = _run_each(lambda task: task(), tasks)[1]
+        g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
+        g_x = g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
         return g_x, g_kernel, go.sum(axis=(0, 2))
 
     return _make(out, parents, vjp, "conv2d")

@@ -17,11 +17,12 @@ parameters of the forward pass: before phase A's SGD step for the extractor
 and before the discriminator's update in the same batch (see
 ``afd_adversarial_phase``).
 
-The per-net passes of ``forward_all`` and ``evaluate`` run concurrently,
-one net per thread (``tensor._run_each``, the pool that each conv's backward
-also uses): numpy releases the GIL inside its GEMMs and large array loops,
-and each net's arithmetic is the same on any thread, so the results keep
-their bytes.
+The per-net passes of ``forward_all`` and every (batch, net) pass of
+``evaluate`` run concurrently from one work queue that the calling thread
+and the pool's workers share (``tensor._run_each``, which each conv's
+backward also uses): numpy releases the GIL inside its GEMMs and large array
+loops, and each pass's arithmetic is the same on any thread, so the results
+keep their bytes.
 """
 
 from __future__ import annotations
@@ -300,29 +301,34 @@ def train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
     return records
 
 
-def _eval_probs(net, xt):
+def _eval_probs(net, x):
     with no_grad():
-        _, z = net.forward(xt)
+        _, z = net.forward(Tensor(x))
     return L.softmax_np(z.data, 1.0)
 
 
 def evaluate(nets, dataset: Dataset, batch_size: int = 256):
     """Per-net top-1 and average-softmax ensemble top-1, in eval mode.
 
-    Per batch the nets' softmaxes are taken concurrently (``_run_each``) and
-    summed in net order, so the ensemble sum has the bytes of a net-by-net loop.
+    Every (batch, net) softmax of the split goes on one work queue
+    (``_run_each``), batch-major, so a fast net's thread takes the next batch
+    instead of waiting for a slow one. Per batch the softmaxes are then summed
+    in net order, so the ensemble sum has the bytes of a net-by-net loop.
     """
     if dataset.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
     correct = np.zeros(len(nets), dtype=np.int64)
     ens_correct = 0
     with eval_mode(*nets):
-        for x, y in sequential_batches(dataset, batch_size):
-            xt = Tensor(x)
+        batches = list(sequential_batches(dataset, batch_size))
+        pairs = [(net, x) for x, _ in batches for net in nets]
+        probs = iter(_run_each(lambda pair: _eval_probs(*pair), pairs))
+        for _, y in batches:
             prob_sum = None
-            for i, probs in enumerate(_run_each(lambda net: _eval_probs(net, xt), nets)):
-                correct[i] += int((probs.argmax(axis=1) == y).sum())
-                prob_sum = probs if prob_sum is None else prob_sum + probs
+            for i in range(len(nets)):
+                p = next(probs)
+                correct[i] += int((p.argmax(axis=1) == y).sum())
+                prob_sum = p if prob_sum is None else prob_sum + p
             ens_correct += int(((prob_sum / len(nets)).argmax(axis=1) == y).sum())
     per_net = [float(c) / dataset.n for c in correct]
     return per_net, float(ens_correct) / dataset.n

@@ -8,6 +8,7 @@ import contextlib
 import errno
 import io
 import struct
+import threading
 from unittest import mock
 
 import numpy as np
@@ -114,10 +115,12 @@ def count_forwards():
     """Count the ``Network.forward`` calls made inside the block, per
     network: ``calls[net]``."""
     calls = collections.Counter()
+    lock = threading.Lock()  # evaluate runs one net's batches on several threads
     forward = blocks.Network.forward
 
     def counting_forward(net, x):
-        calls[net] += 1
+        with lock:
+            calls[net] += 1
         return forward(net, x)
 
     with mock.patch.object(blocks.Network, "forward", counting_forward):

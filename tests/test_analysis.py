@@ -225,7 +225,7 @@ class TestGradCam:
 
 
 def _read_pgm(path):
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     magic, dims, maxval, rest = raw.split(b"\n", 3)
     w, h = map(int, dims.split())
     assert magic == b"P5" and maxval == b"255"

@@ -1,6 +1,9 @@
 """Forward oracles and backward semantics of the tensor engine."""
 
+import collections
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -575,6 +578,52 @@ class TestBackward:
             holder.join(30)
         assert not holder.is_alive()
         assert y.requires_grad and y._vjp is not None
+
+
+class TestRunEach:
+    """``_run_each`` with more items than threads: one work queue that the
+    calling thread and the pool's workers share."""
+
+    DELAYS = [0.05, 0.0, 0.04, 0.01, 0.0, 0.0, 0.03]  # item 5 fails before item 2
+
+    def _item(self, finished, threads, fail=()):
+        def run(i):
+            threads[i] = threading.get_ident()
+            try:
+                time.sleep(self.DELAYS[i])
+                if i in fail:
+                    raise RuntimeError(f"item {i} failed")
+                return i * i
+            finally:
+                finished.add(i)
+        return run
+
+    def test_results_come_back_in_item_order(self):
+        finished, threads = set(), {}
+        assert T._run_each(self._item(finished, threads), list(range(7))) == \
+            [i * i for i in range(7)]
+        assert finished == set(range(7))
+        assert threads[0] == threading.get_ident()
+
+    def test_every_item_finishes_and_the_first_failure_in_item_order_is_raised(self):
+        finished, threads = set(), {}
+        with pytest.raises(RuntimeError, match="item 2 failed"):
+            T._run_each(self._item(finished, threads, fail=(2, 5)), list(range(7)))
+        assert finished == set(range(7))
+
+    def test_no_items(self):
+        assert T._run_each(lambda item: item, []) == []
+
+    def test_each_item_is_taken_once_under_frequent_thread_switches(self):
+        taken = collections.Counter()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = T._run_each(lambda i: taken.update([i]) or -i, list(range(500)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-i for i in range(500)]
+        assert taken == collections.Counter(range(500))
 
 
 class TestDeterminism:

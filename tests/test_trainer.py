@@ -4,6 +4,7 @@ import contextlib
 import multiprocessing
 import re
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -383,13 +384,15 @@ class _FailingLogitNet(_FixedLogitNet):
 
 class _TimedNet(_FixedLogitNet):
     """Stub whose forward sleeps ``delay`` seconds, then raises ``error`` if
-    one is given; ``finished`` is set when the forward has returned or raised."""
+    one is given; ``finished`` is set when a forward has returned or raised."""
 
     def __init__(self, delay, error=None):
         super().__init__([1.0, 0.0])
         self.delay, self.error, self.finished = delay, error, False
+        self.threads = []  # the thread of each forward
 
     def forward(self, x):
+        self.threads.append(threading.get_ident())
         try:
             time.sleep(self.delay)
             if self.error:
@@ -465,9 +468,20 @@ class TestConcurrentPeers:
             self._run(runner, nets)
         assert all(net.finished for net in nets)
 
-    @pytest.mark.parametrize("offline", [False, True], ids=["afd_k3", "l1_kd_offline"])
-    def test_same_bytes_as_a_net_by_net_loop(self, tmp_path, offline):
-        cfg = _offline_cfg(tmp_path) if offline else tiny_cfg(archs="tiny-a", k=3)
+    def test_a_slow_nets_batches_are_shared_between_threads(self):
+        """The fast net's thread takes the slow net's next batch instead of
+        waiting for it."""
+        slow, fast = _TimedNet(0.05), _TimedNet(0.0)
+        x = np.zeros((6, 1, 4, 4), dtype=np.float32)
+        evaluate([slow, fast], data.Dataset(x, np.zeros(6, dtype=np.int64), "test"), 1)
+        assert len(slow.threads) == 6 and len(set(slow.threads)) >= 2
+
+    @pytest.mark.parametrize("case", ["afd_k3", "afd_mixed", "l1_kd_offline"])
+    def test_same_bytes_as_a_net_by_net_loop(self, tmp_path, case):
+        """``afd_mixed``'s unequal nets change which thread takes which item."""
+        cfg = {"afd_k3": lambda: tiny_cfg(archs="tiny-a", k=3),
+               "afd_mixed": lambda: tiny_cfg(archs="tiny-a,tiny-b"),
+               "l1_kd_offline": lambda: _offline_cfg(tmp_path)}[case]()
         x, _ = make_batch(cfg)
         plans = [build_plan(cfg), build_plan(cfg)]
         outs = [forward_all(plans[0], x), _sequential_forward(plans[1], x)]
