@@ -30,9 +30,7 @@ raw float32 bytes of every net's eval-mode logits on the standardized test
 split are written, net after net, to ``eval_logits.bin``. That covers the
 eval-mode kernels (batch norm on running statistics, pooling) to the last
 bit; a last-bit change there almost never moves a top-1 fraction in
-``metrics.csv``. This script restores the checkpoint itself, with the
-calls every compared tree has, rather than through ``trainer.restore_run``,
-which older trees lack. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs
+``metrics.csv``. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs
 also write, from that checkpoint and through ``peerkd.cli.main``, the stdout
 of ``peerkd eval`` (``eval.txt``) and of ``peerkd analyze``
 (``analyze.csv``), and one ``peerkd gradcam`` heatmap, ``gradcam.pgm``, of
@@ -77,11 +75,10 @@ import sys
 import peerkd
 from blas_core import blas_core
 from peerkd.blocks import eval_mode
-from peerkd.checkpoint import load_entries
 from peerkd.cli import main
-from peerkd.data import build_config, load_splits, standardize
+from peerkd.data import build_config
 from peerkd.tensor import Tensor, no_grad
-from peerkd.trainer import build_plan, restore_plan
+from peerkd.trainer import restore_run
 
 COMMON = ["--num-classes", "3", "--epochs", "3", "--batch-size", "32",
           "--per-class-train", "64", "--per-class-test", "16", "--image-size", "16",
@@ -134,14 +131,16 @@ def write_idx_data(out_root):
     return 0
 
 
+def run_config(flags):
+    """The RunConfig of ``flags``, a list of ``--name value`` pairs."""
+    pairs = zip(flags[::2], flags[1::2])
+    return build_config(overrides={flag[2:].replace("-", "_"): value for flag, value in pairs})
+
+
 def write_eval_logits(flags, run_dir):
     """Restore the run's final checkpoint and write its test-split logits."""
-    pairs = zip(flags[::2], flags[1::2])
-    config = build_config(overrides={flag[2:].replace("-", "_"): value for flag, value in pairs})
-    plan = build_plan(config)
-    entries = load_entries(os.path.join(run_dir, "checkpoint_final.afdk"))
-    restore_plan(plan, entries)
-    test = standardize(load_splits(config)[1], entries["data/mean"], entries["data/std"])
+    plan, test = restore_run(run_config(flags),
+                             os.path.join(run_dir, "checkpoint_final.afdk"))
     with open(os.path.join(run_dir, "eval_logits.bin"), "wb") as f, \
             eval_mode(*plan.nets), no_grad():
         for net in plan.nets:

@@ -15,7 +15,7 @@ import numpy as np
 from .blocks import eval_mode
 from .checkpoint import write_atomic
 from .data import Dataset, sequential_batches
-from .errors import ContractError, DataError, UsageError
+from .errors import ContractError, DataError, ShapeError, UsageError
 from .tensor import Tensor, backward, mean_all, no_grad, take_rows
 
 
@@ -71,9 +71,9 @@ def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) ->
 
 
 def grad_cam(net, image: np.ndarray, target_class: int | None = None):
-    """Class-activation heatmap of one [C, H, W] or [1, C, H, W] image: a
-    float32 array at feature-map resolution, values in [0, 1], and the class
-    it explains.
+    """Class-activation heatmap of one [C, H, W] image (any other rank is a
+    ``ShapeError``): a float32 array at feature-map resolution, values in
+    [0, 1], and the class it explains.
 
     ``target_class`` defaults to the class the eval-mode forward predicts.
     Channel weights are the spatial mean of d(logit[target])/d(feature);
@@ -87,8 +87,10 @@ def grad_cam(net, image: np.ndarray, target_class: int | None = None):
             f"target_class {target_class} out of range [0, {net.num_classes})"
         )
     arr = np.asarray(image, dtype=np.float32)
+    if arr.ndim != 3:
+        raise ShapeError(f"grad_cam takes one [C, H, W] image, got shape {arr.shape}")
     with eval_mode(net):
-        feature, logit = net.forward(Tensor(arr[None] if arr.ndim == 3 else arr))
+        feature, logit = net.forward(Tensor(arr[None]))
     if target_class is None:
         target_class = int(logit.data.argmax())
     backward(mean_all(take_rows(logit, np.asarray([target_class]))), [feature])

@@ -124,8 +124,8 @@ def class_templates(num_classes: int, image_size: int) -> np.ndarray:
 def synth_blobs(num_classes: int, per_class: int, image_size: int,
                 noise_std: float, seed: int, split: str = "train") -> Dataset:
     """Balanced synthetic dataset: class template + Gaussian noise, clipped to [0,1]."""
-    if num_classes < 1 or per_class < 1 or image_size < 1 or noise_std < 0:
-        raise ConfigError("synth_blobs parameters must be positive (noise_std >= 0)")
+    if num_classes < 1 or per_class < 1 or image_size < 1 or noise_std < 0 or seed < 0:
+        raise ConfigError("synth_blobs parameters must be positive (noise_std, seed >= 0)")
     templates = class_templates(num_classes, image_size)
     rng = np.random.default_rng(seed)
     n = num_classes * per_class
@@ -233,17 +233,19 @@ class RunConfig:
             )
         if self.num_nets < 1:
             raise ConfigError("at least one arch spec is required")
-        if self.method in ("afd", "dml", "kd_ensemble") and self.num_nets < 2:
-            raise ConfigError(f"method {self.method!r} needs at least 2 networks")
         if self.method == "l1_kd_offline":
             if self.num_nets != 2:
                 raise ConfigError("l1_kd_offline expects exactly 2 networks (student, teacher)")
             if not self.teacher_checkpoint:
                 raise ConfigError("l1_kd_offline requires teacher_checkpoint")
+        if METHODS[self.method] != (None, False) and self.num_nets < 2:
+            # a method with a mimicry or alignment term reads a peer
+            raise ConfigError(f"method {self.method!r} needs at least 2 networks")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed", "data_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("lr_logit", "lr_adv"):

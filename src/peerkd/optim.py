@@ -26,8 +26,8 @@ def lr_at(epoch: int, base_lr: float, milestones, factor: float) -> float:
 
 
 class SGDMomentum:
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 momentum: float = 0.9, weight_decay: float = 1e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float,
+                 weight_decay: float):
         self.params = dict(params)
         self.lr = lr
         self.momentum = momentum
@@ -56,7 +56,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.1):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay

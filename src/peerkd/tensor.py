@@ -178,9 +178,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, neg(_coerce(other, self)))
 
@@ -188,9 +185,6 @@ class Tensor:
         return add(neg(self), other)
 
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __neg__(self):

@@ -307,7 +307,7 @@ def _eval_probs(net, x):
     return L.softmax_np(z.data, 1.0)
 
 
-def evaluate(nets, dataset: Dataset, batch_size: int = 256):
+def evaluate(nets, dataset: Dataset, batch_size: int):
     """Per-net top-1 and average-softmax ensemble top-1, in eval mode.
 
     Every (batch, net) softmax of the split goes on one work queue
@@ -376,7 +376,8 @@ def plan_state_entries(plan: DistillPlan, epoch: int, mean: np.ndarray, std: np.
 
 
 def restore_plan(plan: DistillPlan, entries: dict):
-    """Load a checkpoint into ``plan``; returns the epoch it was saved at.
+    """Load a checkpoint into ``plan``; returns ``(epoch, mean, std)``: the
+    epoch it was saved at and its data standardization statistics.
 
     ``plan_state_entries`` is the schema. The checkpoint must hold exactly
     the entries ``plan`` saves (``FormatError``), its counters (the epoch and
@@ -409,7 +410,7 @@ def restore_plan(plan: DistillPlan, entries: dict):
             raise FormatError(f"checkpoint entry {name} holds {entries[name]}, "
                               f"expected {expected}")
     _copy_checked(state, entries)
-    return int(state["meta/epoch"][0])
+    return int(state["meta/epoch"][0]), state["data/mean"], state["data/std"]
 
 
 def restore_run(config: RunConfig, checkpoint):
@@ -417,10 +418,8 @@ def restore_run(config: RunConfig, checkpoint):
     (``restore_plan``), and ``config``'s test split standardized by the
     checkpoint's data statistics, in that order."""
     plan = build_plan(config)
-    entries = load_entries(checkpoint)
-    restore_plan(plan, entries)
-    _, raw_test = load_splits(config)
-    return plan, standardize(raw_test, entries["data/mean"], entries["data/std"])
+    _, mean, std = restore_plan(plan, load_entries(checkpoint))
+    return plan, standardize(load_splits(config)[1], mean, std)
 
 
 def save_plan_checkpoint(plan, path, epoch, mean, std):
@@ -492,12 +491,10 @@ def run_experiment(config: RunConfig, resume_from=None):
     plan = build_plan(config)
     start_epoch = 0
     if resume_from is not None:
-        entries = load_entries(resume_from)
-        start_epoch = restore_plan(plan, entries)
+        start_epoch, mean, std = restore_plan(plan, load_entries(resume_from))
         if start_epoch > config.epochs:
             raise ConfigError(f"{resume_from}: checkpoint is at epoch {start_epoch}, "
                               f"past epochs={config.epochs}")
-        mean, std = entries["data/mean"], entries["data/std"]
     train_ds = standardize(raw_train, mean, std)
     test_ds = standardize(raw_test, mean, std)
     _check_feature_maps(plan, train_ds.images[:1])

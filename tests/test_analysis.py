@@ -1,5 +1,7 @@
 """Feature similarity, Grad-CAM, and PGM export."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,13 @@ class TestGradCam:
         net = _passthrough_net()
         with pytest.raises(DataError):
             analysis.grad_cam(net, np.zeros((1, 4, 4), dtype=np.float32), target_class=2)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 4), (4, 4)])
+    def test_refuses_anything_but_one_chw_image(self, shape):
+        net = _passthrough_net(head_rows=[[2.0], [-1.0]])
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            analysis.grad_cam(net, np.ones(shape, dtype=np.float32), 0)
+        assert net.training
 
     def test_mode_restored_when_forward_raises(self):
         net = _passthrough_net()

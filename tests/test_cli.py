@@ -229,6 +229,29 @@ def test_train_refuses_non_finite_values_up_front(tmp_path, capsys, flag, value,
 
 
 @pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--data-seed", "-1"], "data_seed must be >= 0, got -1"),
+    (["--method", "l1"], "method 'l1' needs at least 2 networks"),
+    (["--method", "l1_kd"], "method 'l1_kd' needs at least 2 networks"),
+], ids=["seed", "data_seed", "l1_one_net", "l1_kd_one_net"])
+def test_train_refuses_bad_config_before_writing(tmp_path, capsys, flags, message):
+    code = main(_tiny_train(tmp_path) + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_synth_data_refuses_negative_seed(tmp_path, capsys):
+    code = main(["synth-data", "--seed", "-1", "--images", str(tmp_path / "i.idx"),
+                 "--labels", str(tmp_path / "l.idx")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "seed >= 0" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,message", [
     (["--method", "afd", "--archs", "tiny-a,tiny-a", "--image-size", "8"],
      "discriminator needs spatial extent >= 4, got 2x2"),
     (["--method", "l1", "--archs", "conv:8:3:1-bn-relu-pool:2,conv:8:3:1-bn-relu"],

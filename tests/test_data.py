@@ -235,6 +235,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             data.build_config({"method": "afd", "archs": "tiny-a"})
 
+    @pytest.mark.parametrize("method", ["afd", "dml", "kd_ensemble", "l1", "l1_kd"])
+    def test_method_with_a_peer_term_refuses_one_net(self, method):
+        with pytest.raises(ConfigError, match=f"^method '{method}' needs at least 2 networks$"):
+            data.build_config({"method": method, "archs": "tiny-a"})
+
+    @pytest.mark.parametrize("archs", ["tiny-a", "tiny-a,tiny-a,tiny-a"])
+    def test_offline_expects_exactly_two_nets(self, archs):
+        with pytest.raises(ConfigError, match="^l1_kd_offline expects exactly 2 networks"):
+            data.build_config({"method": "l1_kd_offline", "archs": archs,
+                               "teacher_checkpoint": "t.afdk"})
+
     def test_offline_requires_checkpoint(self):
         with pytest.raises(ConfigError):
             data.build_config({"method": "l1_kd_offline"})

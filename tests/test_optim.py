@@ -54,22 +54,22 @@ class TestSGDMomentum:
 
     def test_none_grad_skipped(self):
         p = make_param([1.0])
-        opt = SGDMomentum({"p": p}, lr=0.1)
+        opt = SGDMomentum({"p": p}, lr=0.1, momentum=0.9, weight_decay=1e-4)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0])
 
     def test_zero_grad(self):
         p = make_param([1.0])
         p.grad = np.asarray([1.0], dtype=np.float32)
-        SGDMomentum({"p": p}, lr=0.1).zero_grad()
+        SGDMomentum({"p": p}, lr=0.1, momentum=0.9, weight_decay=1e-4).zero_grad()
         assert p.grad is None
 
     def test_state_round_trip(self):
         p = make_param([1.0])
-        opt = SGDMomentum({"p": p}, lr=0.1)
+        opt = SGDMomentum({"p": p}, lr=0.1, momentum=0.9, weight_decay=1e-4)
         p.grad = np.asarray([3.0], dtype=np.float32)
         opt.step()
-        opt2 = SGDMomentum({"p": p}, lr=0.1)
+        opt2 = SGDMomentum({"p": p}, lr=0.1, momentum=0.9, weight_decay=1e-4)
         for name, arr in opt2.state_arrays().items():
             np.copyto(arr, opt.state_arrays()[name])
         np.testing.assert_array_equal(opt2.velocity["p"], opt.velocity["p"])
@@ -102,7 +102,7 @@ class TestAdam:
 
     def test_subset_step_advances_only_named(self):
         a, b = make_param([1.0]), make_param([1.0])
-        opt = Adam({"a": a, "b": b}, lr=0.01)
+        opt = Adam({"a": a, "b": b}, lr=0.01, weight_decay=0.1)
         a.grad = np.asarray([1.0], dtype=np.float32)
         b.grad = np.asarray([1.0], dtype=np.float32)
         opt.step(["a"])
@@ -112,10 +112,10 @@ class TestAdam:
 
     def test_state_round_trip(self):
         p = make_param([1.0, 2.0])
-        opt = Adam({"p": p}, lr=0.01)
+        opt = Adam({"p": p}, lr=0.01, weight_decay=0.1)
         p.grad = np.asarray([0.5, -0.5], dtype=np.float32)
         opt.step(["p"])
-        opt2 = Adam({"p": p}, lr=0.01)
+        opt2 = Adam({"p": p}, lr=0.01, weight_decay=0.1)
         for name, arr in opt2.state_arrays().items():
             np.copyto(arr, opt.state_arrays()[name])
         assert opt2.t["p"] == 1
@@ -125,8 +125,8 @@ class TestAdam:
 
 def test_phase_optimizers_hold_disjoint_state():
     p = make_param([1.0])
-    sgd = SGDMomentum({"p": p}, lr=0.1)
-    adam = Adam({"p": p}, lr=0.01)
+    sgd = SGDMomentum({"p": p}, lr=0.1, momentum=0.9, weight_decay=1e-4)
+    adam = Adam({"p": p}, lr=0.01, weight_decay=0.1)
     p.grad = np.asarray([1.0], dtype=np.float32)
     sgd.step()
     assert adam.t["p"] == 0

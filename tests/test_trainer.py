@@ -340,7 +340,7 @@ class TestEvaluate:
         net = build_plan(cfg).nets[0]
         ds = data.standardize(data.synth_blobs(3, 8, 16, 0.3, 5), *data.channel_stats(
             data.synth_blobs(3, 8, 16, 0.3, 5)))
-        per_net, ens = evaluate([net, net], ds)
+        per_net, ens = evaluate([net, net], ds, 256)
         assert per_net[0] == per_net[1] == ens
 
     def test_confident_net_dominates_ensemble(self):
@@ -348,18 +348,18 @@ class TestEvaluate:
         net_a = _FixedLogitNet([40.0, 0.0])
         net_b = _FixedLogitNet([np.log(0.4), np.log(0.6)])
         ds = self._dataset([0, 0, 0, 0])
-        per_net, ens = evaluate([net_a, net_b], ds)
+        per_net, ens = evaluate([net_a, net_b], ds, 256)
         assert per_net == [1.0, 0.0]
         assert ens == 1.0  # mean probs ~[0.7, 0.3] follow the confident net
 
     def test_perfect_classifier_hits_100(self):
         net = _FixedLogitNet([10.0, 0.0])
-        per_net, ens = evaluate([net], self._dataset([0, 0, 0]))
+        per_net, ens = evaluate([net], self._dataset([0, 0, 0]), 256)
         assert per_net == [1.0] and ens == 1.0
 
     def test_tie_breaks_toward_lowest_class(self):
         net = _FixedLogitNet([1.0, 1.0])
-        per_net, _ = evaluate([net], self._dataset([0, 1]))
+        per_net, _ = evaluate([net], self._dataset([0, 1]), 256)
         assert per_net == [0.5]  # both predicted as class 0
 
     def test_modes_restored_when_forward_raises(self):
@@ -444,7 +444,7 @@ class TestConcurrentPeers:
         x = np.zeros((4, 1, 4, 4), dtype=np.float32)
         if runner == "forward_all":
             return forward_all(SimpleNamespace(nets=nets, frozen=set()), x)
-        return evaluate(nets, data.Dataset(x, np.zeros(4, dtype=np.int64), "test"))
+        return evaluate(nets, data.Dataset(x, np.zeros(4, dtype=np.int64), "test"), 256)
 
     @staticmethod
     def _test_split():  # 21 images
@@ -733,5 +733,8 @@ def test_restore_copies_every_entry():
     cfg = tiny_cfg()
     entries = _trained_entries(cfg)
     plan = build_plan(cfg)
-    assert trainer.restore_plan(plan, entries) == 1
+    epoch, mean, std = trainer.restore_plan(plan, entries)
+    assert epoch == 1
+    assert (mean.tobytes(), std.tobytes()) == (entries["data/mean"].tobytes(),
+                                              entries["data/std"].tobytes())
     assert _state_bytes(plan) == {name: arr.tobytes() for name, arr in entries.items()}
