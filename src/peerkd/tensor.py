@@ -16,24 +16,32 @@ differentiates the graph exactly as it was recorded. Gradients accumulate
 into ``Tensor.grad`` until explicitly cleared, so multi-phase optimization
 controls exactly when they reset.
 
+A recorded op is a ``_Node`` apart from its output Tensor: the nodes of
+its inputs (None for a constant input), its vjp closure and its op name.
+A vjp captures the arrays it reads and the shapes and dtypes it needs, never
+a Tensor, so an op's output array lives only as long as some Tensor or vjp
+holds it: a conv, batch-norm, ReLU or pooling output inside a net is freed
+as soon as the next layer has taken it.
+
 A recorded conv keeps its columns in the layout of the kernel-gradient
 GEMM's second operand, so no backward copies them. Its vjp puts the kernel
 gradient and the input gradient's slices of ``GRAD_X_SLICE`` images on one
-work queue (``_run_each``) that the calling thread and the pool's workers
-share: numpy releases the GIL inside the GEMMs, each slice writes its own
-images of one gradient buffer, and every item does the same arithmetic on
-any thread, so the gradients keep their bytes. ``trainer`` runs the peers'
-forward passes and its evaluation batches on the same queue.
+work queue (``_run_each``) that every thread shares: numpy releases the GIL
+inside the GEMMs, each slice writes its own images of one gradient buffer,
+and every item does the same arithmetic on any thread, so the gradients keep
+their bytes. ``trainer`` runs the peers' forward passes, its evaluation
+batches, phase A's per-net backwards and phase B's edges on the same queue,
+so a conv vjp's call may run inside another call's item, on any thread.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -47,13 +55,59 @@ class _GradMode(threading.local):
 _grad_mode = _GradMode()
 
 
-def _start_pool():
-    """(Re)start ``_POOL``: one worker per usable CPU beyond the caller's, and
-    at least one; ``_WORKERS`` is their count."""
-    global _POOL, _WORKERS
+class _Call:
+    """The items of one ``_run_each`` call: how many are taken and how many
+    unfinished, and each one's result and failure. ``taken`` and
+    ``unfinished`` change under ``_changed`` only."""
+
+    __slots__ = ("fn", "items", "taken", "unfinished", "results", "errors")
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+        self.taken, self.unfinished = 0, len(items)
+        self.results, self.errors = [None] * len(items), [None] * len(items)
+
+    def take(self):
+        """The next item's index; a call leaves ``_queue`` with its last item."""
+        i = self.taken
+        self.taken += 1
+        if self.taken == len(self.items):
+            _queue.remove(self)
+        return i
+
+    def run(self, i):
+        try:
+            self.results[i] = self.fn(self.items[i])
+        except BaseException as exc:  # raised by the caller, in item order
+            self.errors[i] = exc
+        with _changed:
+            self.unfinished -= 1
+            if not self.unfinished:
+                _changed.notify_all()
+
+
+def _work():
+    """A pool thread: run the newest queued call's next item, forever."""
+    while True:
+        with _changed:
+            while not _queue:
+                _changed.wait()
+            call = _queue[-1]
+            i = call.take()
+        call.run(i)
+
+
+def _reset_pool():
+    """(Re)set the pool, at import and in a forked child (which has none of
+    the parent's threads, and may hold a lock one of them took): an empty
+    ``_queue`` of calls with untaken items, the condition ``_changed`` that
+    guards it and every call's counts, and no threads until a call first
+    queues items; then ``_WORKERS`` daemon threads drain it, one per usable
+    CPU beyond the caller's and at least one."""
+    global _WORKERS, _queue, _changed, _threads
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     _WORKERS = max(1, cpus - 1)
-    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="peerkd")
+    _queue, _changed, _threads = collections.deque(), threading.Condition(), []
 
 
 def _share_malloc_arena():
@@ -68,49 +122,49 @@ def _share_malloc_arena():
 
 
 _share_malloc_arena()
-_start_pool()
+_reset_pool()
 if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads: work sent to the old pool never runs
-    os.register_at_fork(after_in_child=_start_pool)
+    os.register_at_fork(after_in_child=_reset_pool)
 
 
 def _run_each(fn, items):
-    """``[fn(item) for item in items]``, run concurrently from one work queue:
-    the calling thread and up to ``_WORKERS`` pool threads each take the next
-    item under one lock until none is left, so one thread runs at most one
-    item at a time and the caller always runs item 0. Results come back in
-    item order. Every item finishes before this returns or raises, and the
-    first failure in item order is the one raised. ``no_grad`` is per thread,
-    so an item that must not record enters it itself. Never call this from a
-    pool thread: with one worker, the helper it sends would wait behind the
-    call that waits for it."""
-    results, errors = [None] * len(items), [None] * len(items)
-    order, lock = iter(range(len(items))), threading.Lock()
+    """``[fn(item) for item in items]``, run concurrently from one work queue
+    that any thread may call into, a pool thread running an item included.
 
-    def take():
-        with lock:
-            return next(order, None)
-
-    def drain(i):
-        while i is not None:
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:  # raised below, in item order
-                errors[i] = exc
-            i = take()
-
-    mine = take()  # before any helper can start, so item 0 stays on this thread
-    helpers = [_POOL.submit(lambda: drain(take())) for _ in range(min(_WORKERS, len(items) - 1))]
-    try:
-        drain(mine)
-    finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()  # what ended a helper early, other than an item's Exception
-    first = next((exc for exc in errors if exc is not None), None)
+    The caller queues the call's other items, runs item 0, then takes its
+    own next item until none is left, while the pool's threads take items of
+    the newest queued call, so a call made inside an item finishes before
+    new outer items start. A caller whose items are all taken runs other
+    calls' items until its own have finished, so no thread waits while
+    queued work could run. Results come back in item order. Every item
+    finishes before this returns or raises, and the first failure in item
+    order, a ``BaseException`` included, is the one raised. ``no_grad`` is
+    per thread, so an item that must not record enters it itself."""
+    call = _Call(fn, list(items))
+    if not call.items:
+        return []
+    call.taken = 1
+    if len(call.items) > 1:
+        with _changed:
+            while len(_threads) < _WORKERS:
+                _threads.append(threading.Thread(target=_work, name="peerkd", daemon=True))
+                _threads[-1].start()
+            _queue.append(call)
+            _changed.notify_all()
+    call.run(0)
+    while True:
+        with _changed:
+            while call.unfinished and not _queue:
+                _changed.wait()
+            if not call.unfinished:
+                break
+            job = call if call.taken < len(call.items) else _queue[-1]
+            i = job.take()
+        job.run(i)
+    first = next((exc for exc in call.errors if exc is not None), None)
     if first is not None:
         raise first
-    return results
+    return call.results
 
 
 @contextlib.contextmanager
@@ -125,27 +179,46 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+class _Node:
+    """A recorded op, or a leaf that requires a gradient: the nodes of the
+    op's inputs (None for a constant input), its vjp and its op name."""
+
+    __slots__ = ("parents", "vjp", "op")
+
+    def __init__(self, parents=(), vjp=None, op="leaf"):
+        self.parents = parents
+        self.vjp = vjp
+        self.op = op
+
+
 class Tensor:
     """N-dimensional value, optionally participating in the gradient graph.
 
     ``data`` is row-major and immutable by convention once produced:
     optimizers replace the array rather than writing into it, so saved
-    activations in recorded graphs stay consistent.
+    activations in recorded graphs stay consistent. A tensor requires a
+    gradient exactly when it has a graph node: its op's, or a leaf's, made
+    when ``requires_grad`` is set.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_vjp", "_op")
+    __slots__ = ("data", "grad", "_node")
 
-    def __init__(self, data, requires_grad=False, _prev=(), _vjp=None, _op=""):
+    def __init__(self, data, requires_grad=False):
         if isinstance(data, (np.ndarray, np.floating)) and data.dtype in (np.float32, np.float64):
             arr = np.asarray(data)
         else:
             arr = np.asarray(data, dtype=np.float32)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._prev = _prev
-        self._vjp = _vjp
-        self._op = _op
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        self._node = (self._node or _Node()) if value else None
 
     @property
     def shape(self):
@@ -168,10 +241,11 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, severed from the graph."""
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op!r})"
+        op = self._node.op if self._node is not None else ""
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={op!r})"
 
     # -- operator sugar (same-shape tensors or python scalars only) --
 
@@ -200,31 +274,33 @@ def _coerce(value, like: Tensor) -> Tensor:
 def _records(parents) -> bool:
     """Whether an op on ``parents`` is recorded: the graph is live on this
     thread and some parent requires a gradient."""
-    return _grad_mode.enabled and any([p.requires_grad for p in parents])
+    return _grad_mode.enabled and any([p._node is not None for p in parents])
 
 
 def _make(data, parents, vjp, op):
     """Wrap an op result; record the vjp when ``_records(parents)``."""
+    out = Tensor(data)
     if _records(parents):
-        return Tensor(data, requires_grad=True, _prev=tuple(parents), _vjp=vjp, _op=op)
-    return Tensor(data, _op=op)
+        out._node = _Node(tuple([p._node for p in parents]), vjp, op)
+    return out
 
 
 def topo_order(root: Tensor) -> list:
-    """Recorded operations in topological order (inputs before outputs)."""
+    """The graph nodes below ``root`` in topological order (inputs before
+    outputs); constant inputs have none."""
     order, seen = [], set()
-    stack = [(root, False)]
+    stack = [(root._node, False)] if root._node is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for parent in node._prev:
-            if id(parent) not in seen:
+        for parent in node.parents:
+            if parent is not None and parent not in seen:
                 stack.append((parent, False))
     return order
 
@@ -235,8 +311,8 @@ def backward(loss: Tensor, wrt):
     Only the recorded ops from which some ``wrt`` tensor can be reached are
     replayed, and no other tensor's ``.grad`` is written: parameters left out
     of ``wrt``, intermediates and the ops below the targets are untouched.
-    Adjoints are tracked per call, so running backward twice from one loss
-    doubles every gradient.
+    Adjoints are tracked per call and keyed by graph node, so running
+    backward twice from one loss doubles every gradient.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -247,26 +323,25 @@ def backward(loss: Tensor, wrt):
     if not loss.requires_grad:
         return
     # an op is replayed when one of its inputs leads to a target
-    wanted = {id(t) for t in targets}
+    wanted = {t._node for t in targets}
     reach = set(wanted)
     replay = []
     for node in topo_order(loss):
-        if any([id(p) in reach for p in node._prev]):
-            reach.add(id(node))
+        if any([p in reach for p in node.parents]):
+            reach.add(node)
             replay.append(node)
-    adjoint = {id(loss): np.ones_like(loss.data)}
+    adjoint = {loss._node: np.ones_like(loss.data)}
     for node in reversed(replay):
-        key = id(node)
-        g = adjoint.get(key) if key in wanted else adjoint.pop(key, None)
+        g = adjoint.get(node) if node in wanted else adjoint.pop(node, None)
         if g is None:
             continue
-        for parent, pg in zip(node._prev, node._vjp(g)):
-            if pg is None or id(parent) not in reach:
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None or parent not in reach:
                 continue
-            acc = adjoint.get(id(parent))
-            adjoint[id(parent)] = pg if acc is None else acc + pg
+            acc = adjoint.get(parent)
+            adjoint[parent] = pg if acc is None else acc + pg
     for t in targets:
-        g = adjoint.pop(id(t), None)
+        g = adjoint.pop(t._node, None)
         if g is not None:
             t.grad = g.copy() if t.grad is None else t.grad + g
 
@@ -280,9 +355,10 @@ def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     if b.data.shape not in ((), a.data.shape):
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    scalar_b = not b.data.shape
 
     def vjp(g):
-        gb = g if b.data.shape else np.sum(g, dtype=g.dtype)
+        gb = np.sum(g, dtype=g.dtype) if scalar_b else g
         return g, gb
 
     return _make(a.data + b.data, (a, b), vjp, "add")
@@ -320,10 +396,10 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
+    n, shape, dtype = a.data.size, a.data.shape, a.data.dtype
 
     def vjp(g):
-        return (np.full_like(a.data, g / n),)
+        return (np.full(shape, g / n, dtype=dtype),)
 
     return _make(np.mean(a.data, dtype=a.data.dtype), (a,), vjp, "mean")
 
@@ -452,14 +528,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     out += bias.data[None, :, None, None]
     parents = (x, kernel, bias)
     if not _records(parents):
-        return Tensor(out, _op="conv2d")
+        return Tensor(out)
     # the second operand that np.tensordot(go, cols, axes=([0, 2], [0, 2]))
     # would build on every backward, built once here; at batch 1 it is a
     # view, as in tensordot, and a contiguous copy would re-round the GEMM
     rows = cols.transpose(0, 2, 1).reshape(b * oh * ow, -1)
     # a constant input (a data batch, a detached feature) costs no input
     # gradient; a recorded conv's kernel and bias are parameters
-    need_x = x.requires_grad
+    need_x, dtype = x.requires_grad, x.data.dtype
     hp, wp = xp.shape[2:]
 
     def kernel_grad(go):
@@ -473,7 +549,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # col2im sums the taps in an [H, W, B, C] buffer, so each tap's add
         # runs along B*C-long rows, not output-width-long ones; the taps add
         # in the same order from +0.0, so every sum keeps its bits
-        g_xp = np.zeros((hp, wp, b, c_in), dtype=x.data.dtype)
+        g_xp = np.zeros((hp, wp, b, c_in), dtype=dtype)
 
         def input_slice(b0):
             part = go[b0:b0 + GRAD_X_SLICE]
@@ -558,7 +634,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3))
 
     def vjp(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(g.dtype),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).astype(g.dtype),)
 
     return _make(out, (x,), vjp, "global_avg_pool")
 
@@ -616,11 +692,11 @@ def row_log_softmax(z: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, in_shape = tuple(shape), x.data.shape
     out = x.data.reshape(shape)
 
     def vjp(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _make(out, (x,), vjp, "reshape")
 
@@ -632,9 +708,10 @@ def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
     rows = np.arange(x.data.shape[0])
     out = x.data[rows, idx]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        g_x = np.zeros_like(x.data)
+        g_x = np.zeros(shape, dtype=dtype)
         g_x[rows, idx] = g
         return (g_x,)
 

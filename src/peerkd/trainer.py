@@ -17,12 +17,13 @@ parameters of the forward pass: before phase A's SGD step for the extractor
 and before the discriminator's update in the same batch (see
 ``afd_adversarial_phase``).
 
-The per-net passes of ``forward_all`` and every (batch, net) pass of
-``evaluate`` run concurrently from one work queue that the calling thread
-and the pool's workers share (``tensor._run_each``, which each conv's
-backward also uses): numpy releases the GIL inside its GEMMs and large array
-loops, and each pass's arithmetic is the same on any thread, so the results
-keep their bytes.
+The per-net passes of ``forward_all``, every (batch, net) pass of
+``evaluate``, phase A's per-net backwards and phase B's edges run
+concurrently from one work queue that every thread shares
+(``tensor._run_each``, which each conv's backward calls into from whatever
+thread runs it): numpy releases the GIL inside its GEMMs and large array
+loops, each item's arithmetic is the same on any thread, and concurrent
+items write disjoint gradients and buffers, so the results keep their bytes.
 """
 
 from __future__ import annotations
@@ -204,58 +205,77 @@ def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
 
 
 def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
-    """Phase A: each trainable net's ``_net_loss``; one synchronous SGD step."""
+    """Phase A: each trainable net's ``_net_loss``, the nets' backwards
+    concurrently, one ``_run_each`` item per net, then one synchronous SGD
+    step. A net's loss reaches only its own parameters and its incoming
+    transfer layer's (peer logits and features are constants to it), so each
+    item writes its own ``.grad``s and the bytes do not depend on the order
+    the items finish in."""
     target = None
     if METHODS[plan.method][0] == "ensemble":
         target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
     plan.logit_opt.zero_grad()
-    records = []
-    for k in range(len(plan.nets)):
-        if k in plan.frozen:
-            continue
-        loss, rec = _net_loss(plan, k, y, feats, logits, target)
-        backward(loss, plan.logit_opt.params.values())
-        records.append(rec)
+    built = [_net_loss(plan, k, y, feats, logits, target)
+             for k in range(len(plan.nets)) if k not in plan.frozen]
+    params = list(plan.logit_opt.params.values())
+    _run_each(lambda pair: backward(pair[0], params), built)
     plan.logit_opt.step()
-    return records
+    return [rec for _, rec in built]
 
 
 def afd_adversarial_phase(plan: DistillPlan, feats, records):
-    """Phase B: per edge, discriminator step then extractor+transfer step.
+    """Phase B: per edge, the discriminator's and the extractor+transfer
+    layer's gradients, the edges concurrently, one ``_run_each`` item each;
+    then, on the calling thread and in edge order, each edge's discriminator
+    Adam step and its extractor+transfer step.
 
     Each backward names the parameters it trains: the discriminator loss
     goes to the discriminator alone (its features come detached), and the
-    fooling loss to the extractor and transfer layer alone. The fooling
-    gradient is pre-update throughout: its pass is recorded before the
-    discriminator moves and its backward runs after the step, but every vjp
-    (conv kernels, batch-norm gammas) uses the values saved at record time.
-    So it is the gradient through the discriminator as it scored ``own``,
-    and through the extractor as it was when it produced ``feats``, before
-    phase A's SGD step. Each edge's losses go to ``records[dst]``: afd
-    freezes no net, so record k is net k's.
+    fooling loss to the extractor and transfer layer alone. ``build_plan``'s
+    ring gives each net at most one incoming edge, so the edges write
+    disjoint ``.grad``s and batch-norm buffers. The fooling gradient is
+    pre-update throughout: every vjp (conv kernels, batch-norm gammas) uses
+    the values saved at record time, so it is the gradient through the
+    discriminator as it scored ``own``, and through the extractor as it was
+    when it produced ``feats``, before phase A's SGD step. Every edge's
+    losses are checked before any step, and a failed edge restores the
+    batch-norm buffers that the edges' forwards moved, so a refused phase B
+    changes no discriminator, extractor, transfer layer or Adam state. Each
+    edge's losses go to ``records[dst]``: afd freezes no net, so record k is
+    net k's.
     """
     opt = plan.adv_opt
     opt.zero_grad()
-    for e, (src, dst) in enumerate(plan.edges):
+
+    def edge(e):
+        src, dst = plan.edges[e]
         disc = plan.discriminators[e]
-        transfer = plan.transfer_layers[e]
-        own = transfer.forward(feats[dst])
+        own = plan.transfer_layers[e].forward(feats[dst])
         d_peer = disc.forward(feats[src].detach())
         d_own_detached = disc.forward(own.detach())
         d_own_live = disc.forward(own)
-
         d_loss = L.lsgan_d_loss(d_peer, d_own_detached)
         d_val = _finite(d_loss.item(), f"loss_d[edge{e}]")
-        backward(d_loss, [opt.params[n] for n in plan.disc_param_names[e]])
-        opt.step(plan.disc_param_names[e])
-
         g_loss = L.lsgan_g_loss(d_own_live)
         g_val = _finite(g_loss.item(), f"loss_g[edge{e}]")
+        backward(d_loss, [opt.params[n] for n in plan.disc_param_names[e]])
         backward(g_loss, [opt.params[n] for n in plan.gen_param_names[e]])
-        opt.step(plan.gen_param_names[e])
+        return d_val, g_val
 
-        records[dst].loss_d = d_val
-        records[dst].loss_g = g_val
+    buffers = [arr for e in range(len(plan.edges))
+               for module in (plan.discriminators[e], plan.transfer_layers[e])
+               for arr in module.buffers().values()]
+    saved = [arr.copy() for arr in buffers]
+    try:
+        values = _run_each(edge, range(len(plan.edges)))
+    except BaseException:
+        for arr, old in zip(buffers, saved):
+            np.copyto(arr, old)
+        raise
+    for e, (_, dst) in enumerate(plan.edges):
+        opt.step(plan.disc_param_names[e])
+        opt.step(plan.gen_param_names[e])
+        records[dst].loss_d, records[dst].loss_g = values[e]
 
 
 def _dml_step(plan, x, y):

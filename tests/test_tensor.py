@@ -4,6 +4,7 @@ import collections
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import rel_err
 from peerkd import tensor as T
+from peerkd.blocks import build_network
 from peerkd.errors import ConfigError, ShapeError, UsageError
 from peerkd.tensor import Tensor, backward, no_grad
 
@@ -81,9 +83,9 @@ class TestLinear:
         b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
         out = T.linear(x, w, b)
         g = rng.standard_normal((4, 2)).astype(np.float32)
-        before = out._vjp(g)
+        before = out._node.vjp(g)
         w.data = w.data * np.float32(3.0)  # an optimizer step assigns a fresh array
-        assert [a.tobytes() for a in out._vjp(g)] == [a.tobytes() for a in before]
+        assert [a.tobytes() for a in out._node.vjp(g)] == [a.tobytes() for a in before]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -137,8 +139,19 @@ class TestConv2d:
         g = np.ones((2, 3, 5, 5), dtype=np.float32)
         out = T.conv2d(x, k, bias, padding=1)
         x.requires_grad = True  # replay sees the record-time flag
-        g_x, g_k, g_b = out._vjp(g)
+        g_x, g_k, g_b = out._node.vjp(g)
         assert g_x is None and g_k.shape == k.shape and g_b.shape == (3,)
+
+    def test_requires_grad_set_after_construction_gets_gradients(self):
+        rng = np.random.default_rng(4)
+        x_data = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        grads = []
+        for x in (Tensor(x_data, requires_grad=True), Tensor(x_data)):
+            x.requires_grad = True  # a no-op for the first, a new leaf for the second
+            backward(T.mean_all(T.conv2d(x, k, zero_bias(3), padding=1)), [x])
+            grads.append(x.grad)
+        assert grads[1] is not None and grads[1].tobytes() == grads[0].tobytes()
 
     @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
     def test_float32_kernel_gradient_against_float64_oracle(self, k, stride, padding):
@@ -148,7 +161,7 @@ class TestConv2d:
         out = T.conv2d(Tensor(x), Tensor(kernel, requires_grad=True), zero_bias(12),
                        stride=stride, padding=padding)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        g_kernel = out._vjp(g)[1]
+        g_kernel = out._node.vjp(g)[1]
         assert g_kernel.dtype == np.float32
         xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         oh, ow = out.shape[2:]
@@ -178,7 +191,7 @@ class TestConv2d:
             for v in range(k):
                 expect[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += g_cols[:, :, u, v]
         expect = expect[:, :, padding:padding + 6, padding:padding + 6]
-        assert _same_bits(out._vjp(g)[0], expect)
+        assert _same_bits(out._node.vjp(g)[0], expect)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
@@ -253,7 +266,7 @@ class TestConv2dBytes:
         g = rng.standard_normal(out.shape).astype(np.float32)
         want_out, want_x, want_kernel, want_bias = conv_reference(
             x, kernel, bias, stride, k // 2, g)
-        got_x, got_kernel, got_bias = out._vjp(g)
+        got_x, got_kernel, got_bias = out._node.vjp(g)
         assert out.data.tobytes() == want_out.tobytes()
         assert got_kernel.shape == kernel.shape and got_kernel.tobytes() == want_kernel.tobytes()
         assert got_bias.tobytes() == want_bias.tobytes()
@@ -304,9 +317,9 @@ class TestBatchNorm:
         rm, rv = self._stats(3)
         out = T.batch_norm(x, gamma, beta, rm, rv, training)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        before = out._vjp(g)
+        before = out._node.vjp(g)
         gamma.data = gamma.data * np.float32(3.0)  # an optimizer step assigns a fresh array
-        assert [a.tobytes() for a in out._vjp(g)] == [a.tobytes() for a in before]
+        assert [a.tobytes() for a in out._node.vjp(g)] == [a.tobytes() for a in before]
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(8)
@@ -364,7 +377,7 @@ class TestBatchNorm:
         with np.errstate(invalid="ignore"):
             out = T.batch_norm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
                                Tensor(beta, requires_grad=True), rm, rv, training)
-            got = (out.data, *out._vjp(g), rm, rv)
+            got = (out.data, *out._node.vjp(g), rm, rv)
             expect = self._reference(x, gamma, beta, rm0.copy(), rv0.copy(), training, g)
         assert np.isfinite(got[0][:, 2:]).all() and np.isnan(got[0][:, 0]).any()
         for name, a, b in zip(("out", "g_x", "g_gamma", "g_beta", "running_mean", "running_var"),
@@ -393,7 +406,7 @@ class TestActivations:
         zero = np.float32(0.0)
         with np.errstate(invalid="ignore"):  # inf * 0
             out = T.leaky_relu(Tensor(vals, requires_grad=True), 0.0)
-            (got_grad,) = out._vjp(grads)
+            (got_grad,) = out._node.vjp(grads)
             expect_out = np.where(mask, vals, vals * zero)
             expect_grad = np.where(mask, grads, grads * zero)
         assert out.data.tobytes() == expect_out.tobytes()
@@ -448,7 +461,7 @@ class TestPooling:
         g = _with_specials(rng, (2, 3, 3, 4), dtype, rng.random((2, 3, 3, 4)) < 0.2)
         with np.errstate(invalid="ignore"):
             out = T.avg_pool2d(Tensor(x, requires_grad=True), k)
-            (g_x,) = out._vjp(g)
+            (g_x,) = out._node.vjp(g)
             expect = x.reshape(2, 3, 3, k, 4, k).mean(axis=(3, 5))
             expect_g = (np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)).astype(dtype)
         assert np.isnan(expect).any() and np.isinf(expect).any()
@@ -546,8 +559,9 @@ class TestBackward:
         below = x * x
         feature = below + 1.0
         replayed = []
-        vjp = below._vjp
-        below._vjp = lambda g: replayed.append(g) or vjp(g)
+        node = below._node
+        vjp = node.vjp
+        node.vjp = lambda g: replayed.append(g) or vjp(g)
         sq = feature * feature
         backward(T.mean_all(sq) * sq.size, [feature])
         np.testing.assert_allclose(feature.grad, [4.0, 10.0])  # 2 * (x^2 + 1)
@@ -557,7 +571,7 @@ class TestBackward:
         x = t64([1.0], grad=True)
         with no_grad():
             y = x * x
-        assert y._vjp is None and not y.requires_grad
+        assert y._node is None and not y.requires_grad
 
     def test_no_grad_on_one_thread_leaves_recording_on_in_another(self):
         entered, release = threading.Event(), threading.Event()
@@ -577,12 +591,43 @@ class TestBackward:
             release.set()
             holder.join(30)
         assert not holder.is_alive()
-        assert y.requires_grad and y._vjp is not None
+        assert y.requires_grad and y._node.vjp is not None
+
+
+class TestGraphMemory:
+    @staticmethod
+    def _first_conv_output(monkeypatch, hold):
+        """A tiny-a net's forward and backward, keeping its first conv's output
+        array (``hold``) or a weak reference to it; returns what was kept,
+        whether the array was alive after the forward, and the gradients."""
+        net = build_network("tiny-a", 3, 0)
+        x = Tensor(np.random.default_rng(0).standard_normal((4, 1, 16, 16)).astype(np.float32))
+        conv, kept = T.conv2d, []
+
+        def first_conv(*args, **kwargs):
+            out = conv(*args, **kwargs)
+            if not kept:
+                kept.append(out.data if hold else weakref.ref(out.data))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "conv2d", first_conv)
+            _, logits = net.forward(x)
+        alive = hold or kept[0]() is not None
+        backward(T.mean_all(logits), net.params().values())
+        return kept[0], alive, {name: p.grad.tobytes() for name, p in net.params().items()}
+
+    def test_interior_outputs_are_freed_and_backward_keeps_its_bytes(self, monkeypatch):
+        """No vjp reads a conv's output, so the graph does not hold it."""
+        held, _, held_grads = self._first_conv_output(monkeypatch, hold=True)
+        _, alive, grads = self._first_conv_output(monkeypatch, hold=False)
+        assert isinstance(held, np.ndarray) and not alive
+        assert grads == held_grads
 
 
 class TestRunEach:
-    """``_run_each`` with more items than threads: one work queue that the
-    calling thread and the pool's workers share."""
+    """``_run_each``: one work queue that every thread shares, with more items
+    than threads and with calls made inside items."""
 
     DELAYS = [0.05, 0.0, 0.04, 0.01, 0.0, 0.0, 0.03]  # item 5 fails before item 2
 
@@ -625,6 +670,88 @@ class TestRunEach:
         assert results == [-i for i in range(500)]
         assert taken == collections.Counter(range(500))
 
+    def test_nested_calls_under_frequent_thread_switches(self):
+        """Each of 500 items makes a call of 3 items of its own."""
+        taken, lock = collections.Counter(), threading.Lock()
+
+        def item(i):
+            with lock:
+                taken[i] += 1
+            return T._run_each(lambda j: (i, j), list(range(3)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = T._run_each(item, list(range(500)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[(i, j) for j in range(3)] for i in range(500)]
+        assert taken == collections.Counter(range(500))
+
+    def test_a_call_nested_in_an_item_on_a_pool_thread_finishes(self):
+        """Item 1 runs on a pool thread (the caller holds item 0 until it has
+        started) and makes a call of its own there."""
+        started, out = threading.Event(), {}
+
+        def item(i):
+            if i == 0:
+                return started.wait(30)
+            started.set()
+            out["thread"] = threading.get_ident()
+            return T._run_each(lambda j: j + 1, list(range(4)))
+
+        def call():
+            out["results"] = T._run_each(item, [0, 1])
+
+        watchdog = threading.Thread(target=call, daemon=True)
+        watchdog.start()
+        watchdog.join(30)
+        assert not watchdog.is_alive(), "the nested call hung"
+        assert out["results"] == [True, [1, 2, 3, 4]]
+        assert out["thread"] != watchdog.ident
+
+    def test_a_caller_whose_items_are_taken_runs_another_calls_item(self):
+        """Every pool thread holds an item of the outer call, and item 1's
+        inner call waits for its own second item: only the outer caller,
+        whose items are all taken, is free to run that."""
+        occupied = threading.Barrier(T._WORKERS + 1)
+        inner_done, ran_on = threading.Event(), {}
+
+        def inner(j):
+            if j == 0:
+                return inner_done.wait(30)
+            ran_on["inner item 1"] = threading.get_ident()
+            inner_done.set()
+
+        def outer(i):
+            occupied.wait(30)
+            if i == 1:
+                return T._run_each(inner, [0, 1])
+            return i == 0 or inner_done.wait(30)
+
+        results = T._run_each(outer, list(range(T._WORKERS + 1)))
+        assert ran_on["inner item 1"] == threading.get_ident()
+        assert results[1] == [True, None] and all(results[2:])
+
+    def test_a_base_exception_on_a_pool_thread_reaches_the_caller(self):
+        class Stop(BaseException):
+            pass
+
+        started = threading.Event()
+
+        def item(i):
+            if i == 0:
+                return started.wait(30)
+            started.set()
+            raise Stop
+
+        with pytest.raises(Stop):
+            T._run_each(item, [0, 1])
+        # every pool thread still takes items: each holds one at the barrier
+        alive = threading.Barrier(T._WORKERS + 1)
+        assert len(T._run_each(lambda i: alive.wait(30), list(range(T._WORKERS + 1)))) == \
+            T._WORKERS + 1
+
 
 class TestDeterminism:
     def test_same_seed_bitwise(self):
@@ -653,9 +780,12 @@ class TestTopoOrder:
         order = T.topo_order(loss)
         pos = {id(node): i for i, node in enumerate(order)}
         assert len(pos) == len(order)  # each op visited once
+        assert order[-1] is loss._node
+        assert any(parent is None for node in order for parent in node.parents)  # zy.size
         for node in order:
-            for parent in node._prev:
-                assert pos[id(parent)] < pos[id(node)]
+            for parent in node.parents:
+                if parent is not None:  # a constant input is no graph node
+                    assert pos[id(parent)] < pos[id(node)]
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), st.floats(0.1, 10))

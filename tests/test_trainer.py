@@ -16,8 +16,8 @@ from peerkd import blocks, data, trainer
 from peerkd import losses as L
 from peerkd.checkpoint import load_entries
 from peerkd.data import RunConfig, build_config
-from peerkd.errors import ConfigError, FormatError
-from peerkd.tensor import Tensor, no_grad
+from peerkd.errors import ConfigError, ContractError, FormatError, NonFiniteError
+from peerkd.tensor import Tensor, backward, no_grad
 from peerkd.trainer import (afd_adversarial_phase, afd_logit_phase, baseline_train_step,
                             build_plan, evaluate, forward_all, run_experiment, train_step)
 
@@ -187,8 +187,8 @@ class TestAfdStep:
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         train_step(plan, x, y)
-        recorded = [t for t in made if t._vjp is not None]
-        ops = {t._op for t in recorded}
+        recorded = [t for t in made if t._node is not None and t._node.vjp is not None]
+        ops = {t._node.op for t in recorded}
         assert {"conv2d", "sigmoid", "mean", "softened_kl"} <= ops
         assert all(t.grad is None for t in made)
         for opt in (plan.logit_opt, plan.adv_opt):
@@ -527,6 +527,91 @@ class TestConcurrentPeers:
         finally:
             sys.setswitchinterval(interval)
         assert [calls[net] for net in plan.nets] == [21, 21, 21]
+
+
+def _sequential_step(plan, x, y):
+    """``train_step`` on the calling thread: the forwards and phase A's
+    backwards net by net, then phase B edge by edge, each edge's Adam steps
+    right after its backwards."""
+    feats, logits = _sequential_forward(plan, x)
+    target = None
+    if data.METHODS[plan.method][0] == "ensemble":
+        target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
+    plan.logit_opt.zero_grad()
+    records = []
+    for k in range(len(plan.nets)):
+        if k not in plan.frozen:
+            loss, rec = trainer._net_loss(plan, k, y, feats, logits, target)
+            backward(loss, plan.logit_opt.params.values())
+            records.append(rec)
+    plan.logit_opt.step()
+    opt = plan.adv_opt
+    if opt is None:
+        return records
+    opt.zero_grad()
+    for e, (src, dst) in enumerate(plan.edges):
+        disc = plan.discriminators[e]
+        own = plan.transfer_layers[e].forward(feats[dst])
+        d_peer = disc.forward(feats[src].detach())
+        d_own_detached = disc.forward(own.detach())
+        d_own_live = disc.forward(own)
+        d_loss = L.lsgan_d_loss(d_peer, d_own_detached)
+        backward(d_loss, [opt.params[n] for n in plan.disc_param_names[e]])
+        opt.step(plan.disc_param_names[e])
+        g_loss = L.lsgan_g_loss(d_own_live)
+        backward(g_loss, [opt.params[n] for n in plan.gen_param_names[e]])
+        opt.step(plan.gen_param_names[e])
+        records[dst].loss_d, records[dst].loss_g = d_loss.item(), g_loss.item()
+    return records
+
+
+class TestConcurrentPhases:
+    """Phase A's per-net backwards and phase B's edges run concurrently and
+    give the bytes of a net-by-net and edge-by-edge loop."""
+
+    @pytest.mark.parametrize("case", ["afd_mixed", "afd_k3", "l1_mixed", "kd_ensemble_k3",
+                                      "l1_kd_offline"])
+    def test_same_bytes_as_a_net_by_net_and_edge_by_edge_loop(self, tmp_path, case):
+        cfg = {"afd_mixed": lambda: tiny_cfg(archs="tiny-a,tiny-b"),
+               "afd_k3": lambda: tiny_cfg(archs="tiny-a", k=3),
+               "l1_mixed": lambda: tiny_cfg(method="l1", archs="tiny-a,tiny-b"),
+               "kd_ensemble_k3": lambda: tiny_cfg(method="kd_ensemble", archs="tiny-a", k=3),
+               "l1_kd_offline": lambda: _offline_cfg(tmp_path)}[case]()
+        plans = [build_plan(cfg), build_plan(cfg)]
+        for seed in (0, 1):
+            x, y = make_batch(cfg, seed=seed)
+            assert train_step(plans[0], x, y) == _sequential_step(plans[1], x, y)
+            assert _state_bytes(plans[0]) == _state_bytes(plans[1])
+
+    @pytest.mark.parametrize("fault", ["nan_disc_weight", "nan_g_loss"])
+    def test_a_refused_phase_b_changes_no_state(self, monkeypatch, fault):
+        """Edge 1 fails after edge 0's losses were fine: no Adam step is taken
+        and no discriminator or transfer batch-norm buffer moves. NaN scores
+        fail the LSGAN losses' [0, 1] check (``ContractError``) before the
+        finite check; a non-finite fooling loss fails the finite check."""
+        cfg = tiny_cfg(archs="tiny-a,tiny-b")
+        plan = build_plan(cfg)
+        x, y = make_batch(cfg)
+        train_step(plan, x, y)  # Adam moments and step counts away from zero
+        disc1 = plan.discriminators[1]
+        if fault == "nan_disc_weight":
+            weight = disc1.conv1.weight.data.copy()
+            weight[0, 0, 0, 0] = np.nan
+            disc1.conv1.weight.data = weight
+            error = ContractError
+        else:
+            scores, forward, g_loss = [], disc1.forward, L.lsgan_g_loss
+            monkeypatch.setattr(disc1, "forward",
+                                lambda feature: scores.append(forward(feature)) or scores[-1])
+            monkeypatch.setattr(L, "lsgan_g_loss", lambda d_own: g_loss(d_own) * (
+                np.nan if any(d_own is s for s in scores) else 1.0))
+            error = NonFiniteError
+        feats, logits = forward_all(plan, x)
+        records = afd_logit_phase(plan, y, feats, logits)
+        after_phase_a = _state_bytes(plan)
+        with pytest.raises(error, match=r"edge1\]|d_peer"):
+            afd_adversarial_phase(plan, feats, records)
+        assert _state_bytes(plan) == after_phase_a
 
 
 class TestRunExperiment:
