@@ -5,7 +5,7 @@ Each run goes through ``peerkd.cli.main(["train", ...])`` into its own
 directory under ``--out`` and leaves a ``metrics.csv`` and ``.afdk``
 checkpoints there. The set covers every method and training path:
 vanilla, vanilla with K=1 (no edges, a one-net ensemble), dml, dml with
-K=3 (``_dml_step`` on a ring), kd_ensemble with K=3, l1 and afd on a
+K=3 (a ring: nets 1, 2 pass twice), kd_ensemble with K=3, l1 and afd on a
 tiny-a/tiny-b pair, l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher
 path, with net 0 of the vanilla run's final checkpoint as teacher), afd
 with ``--adversarial off`` (the logit-only ablation), afd on a tiny-a pair

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
 
@@ -99,6 +99,8 @@ def kl_probs_mimicry(target_probs: np.ndarray, student_logits: Tensor,
 def _check_unit_range(name, scores: Tensor):
     lo = float(scores.data.min())
     hi = float(scores.data.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NonFiniteError(f"{name} is non-finite (range [{lo}, {hi}]); aborting step")
     if not (lo >= 0.0 and hi <= 1.0):
         raise ContractError(f"{name} must lie in [0, 1], got range [{lo}, {hi}]")
 

@@ -18,17 +18,18 @@ and before the discriminator's update in the same batch (see
 ``afd_adversarial_phase``).
 
 The per-net passes of ``forward_all``, every (batch, net) pass of
-``evaluate``, phase A's per-net backwards and phase B's edges run
-concurrently from one work queue that every thread shares
-(``tensor._run_each``, which each conv's backward calls into from whatever
-thread runs it): numpy releases the GIL inside its GEMMs and large array
-loops, each item's arithmetic is the same on any thread, and concurrent
+``evaluate``, phase A's per-net backwards, dml's graph-free second passes
+and phase B's edges run concurrently from one work queue that every thread
+shares (``tensor._run_each``, which each conv's backward calls into from
+whatever thread runs it): numpy releases the GIL inside its GEMMs and large
+array loops, each item's arithmetic is the same on any thread, and concurrent
 items write disjoint gradients and buffers, so the results keep their bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -204,23 +205,38 @@ def _net_loss(plan: DistillPlan, k: int, y: np.ndarray, feats, logits, target):
     return loss, rec
 
 
-def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits):
+def afd_logit_phase(plan: DistillPlan, y: np.ndarray, feats, logits, x=None):
     """Phase A: each trainable net's ``_net_loss``, the nets' backwards
     concurrently, one ``_run_each`` item per net, then one synchronous SGD
     step. A net's loss reaches only its own parameters and its incoming
     transfer layer's (peer logits and features are constants to it), so each
     item writes its own ``.grad``s and the bytes do not depend on the order
-    the items finish in."""
+    the items finish in. Every loss is checked before any backward runs, so
+    a refused step moves no parameter or velocity.
+
+    Given the batch ``x`` (dml), each net k > 0 also passes ``x`` again,
+    graph-free, as an item of its own beside the backwards: its one effect is
+    a second batch-norm running-statistics update. No parameter moves before
+    the step, so the pass sees ``forward_all``'s parameters and moves only its
+    own net's buffers, which no backward reads. dml's targets are its peers'
+    pre-step logits, not DML's post-step ones."""
     target = None
     if METHODS[plan.method][0] == "ensemble":
         target = np.mean([L.softmax_np(z.data, plan.temperature) for z in logits], axis=0)
-    plan.logit_opt.zero_grad()
     built = [_net_loss(plan, k, y, feats, logits, target)
              for k in range(len(plan.nets)) if k not in plan.frozen]
     params = list(plan.logit_opt.params.values())
-    _run_each(lambda pair: backward(pair[0], params), built)
+    tasks = [functools.partial(_second_pass, net, x) for net in plan.nets[1:] if x is not None]
+    tasks += [functools.partial(backward, loss, params) for loss, _ in built]
+    plan.logit_opt.zero_grad()
+    _run_each(lambda task: task(), tasks)
     plan.logit_opt.step()
     return [rec for _, rec in built]
+
+
+def _second_pass(net, x):
+    with no_grad():
+        net.forward(Tensor(x))
 
 
 def afd_adversarial_phase(plan: DistillPlan, feats, records):
@@ -278,33 +294,15 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
         records[dst].loss_d, records[dst].loss_g = values[e]
 
 
-def _dml_step(plan, x, y):
-    xt = Tensor(x)
-    feats, logits = forward_all(plan, x)
-    records = []
-    for k in range(len(plan.nets)):
-        if k > 0:
-            # net k has not stepped yet, so this pass gives forward_all's logits again
-            # (and updates its BN running stats a second time); _net_loss's target
-            # is still each peer's pre-step logits[src], not DML's post-step peer
-            _, logits[k] = plan.nets[k].forward(xt)
-        loss, rec = _net_loss(plan, k, y, feats, logits, None)
-        plan.logit_opt.zero_grad()
-        backward(loss, plan.logit_opt.params.values())
-        plan.logit_opt.step()
-        records.append(rec)
-    return records
-
-
 def baseline_train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):
     """``train_step`` for a plan without phase B (the baselines and afd with
-    ``adversarial`` off); refuses a plan that has one."""
+    ``adversarial`` off): one forward per net, then phase A, which for dml
+    also runs each net k > 0's graph-free second pass; refuses a plan that
+    has a phase B."""
     if plan.adv_opt is not None:
         raise ConfigError(f"this {plan.method!r} plan has a phase B; use train_step")
-    if plan.method == "dml":
-        return _dml_step(plan, x, y)
     feats, logits = forward_all(plan, x)
-    return afd_logit_phase(plan, y, feats, logits)
+    return afd_logit_phase(plan, y, feats, logits, x if plan.method == "dml" else None)
 
 
 def train_step(plan: DistillPlan, x: np.ndarray, y: np.ndarray):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import rel_err
 from peerkd import blocks, losses
 from peerkd import tensor as T
-from peerkd.errors import ConfigError, ContractError, DataError, ShapeError
+from peerkd.errors import ConfigError, ContractError, DataError, NonFiniteError, ShapeError
 from peerkd.tensor import Tensor, backward
 
 
@@ -205,12 +205,13 @@ class TestLSGAN:
             losses.lsgan_d_loss(bad, ok)
         with pytest.raises(ContractError):
             losses.lsgan_g_loss(Tensor(np.array([-0.1], dtype=np.float32)))
+        # NaN scores are a diverged discriminator, not a caller's range error
         nan = Tensor(np.array([np.nan], dtype=np.float32))
-        with pytest.raises(ContractError):
+        with pytest.raises(NonFiniteError, match="d_peer is non-finite"):
             losses.lsgan_d_loss(nan, ok)
-        with pytest.raises(ContractError):
+        with pytest.raises(NonFiniteError, match="d_own is non-finite"):
             losses.lsgan_d_loss(ok, nan)
-        with pytest.raises(ContractError):
+        with pytest.raises(NonFiniteError, match="d_own is non-finite"):
             losses.lsgan_g_loss(nan)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))

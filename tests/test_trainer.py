@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from helpers import BAD_COUNTERS, MALFORMED_STATE, count_forwards
-from peerkd import blocks, data, trainer
+from peerkd import blocks, data, tensor, trainer
 from peerkd import losses as L
 from peerkd.checkpoint import load_entries
 from peerkd.data import RunConfig, build_config
-from peerkd.errors import ConfigError, ContractError, FormatError, NonFiniteError
+from peerkd.errors import ConfigError, FormatError, NonFiniteError
 from peerkd.tensor import Tensor, backward, no_grad
 from peerkd.trainer import (afd_adversarial_phase, afd_logit_phase, baseline_train_step,
                             build_plan, evaluate, forward_all, run_experiment, train_step)
@@ -565,6 +565,25 @@ def _sequential_step(plan, x, y):
     return records
 
 
+def _net_by_net_dml_step(plan, x, y):
+    """dml's step as a net-by-net loop on the calling thread: before each
+    net k > 0 a recorded re-forward (the same logits, and a second batch-norm
+    running-statistics update), then that net's backward and an SGD step of
+    its own."""
+    xt = Tensor(x)
+    feats, logits = _sequential_forward(plan, x)
+    records = []
+    for k in range(len(plan.nets)):
+        if k > 0:
+            _, logits[k] = plan.nets[k].forward(xt)
+        loss, rec = trainer._net_loss(plan, k, y, feats, logits, None)
+        plan.logit_opt.zero_grad()
+        backward(loss, plan.logit_opt.params.values())
+        plan.logit_opt.step()
+        records.append(rec)
+    return records
+
+
 class TestConcurrentPhases:
     """Phase A's per-net backwards and phase B's edges run concurrently and
     give the bytes of a net-by-net and edge-by-edge loop."""
@@ -583,12 +602,59 @@ class TestConcurrentPhases:
             assert train_step(plans[0], x, y) == _sequential_step(plans[1], x, y)
             assert _state_bytes(plans[0]) == _state_bytes(plans[1])
 
+    @pytest.mark.parametrize("archs,k", [("tiny-a,tiny-a", None), ("tiny-a,tiny-b", None),
+                                         ("tiny-a", 3)])
+    def test_dml_same_bytes_as_a_net_by_net_step(self, monkeypatch, archs, k):
+        """dml's step (phase A plus a graph-free second pass of each net k > 0,
+        concurrently) gives the records and state bytes, batch-norm running
+        statistics and velocities included, of a backward and an SGD step per
+        net in turn. Net k > 0 still runs twice, the second time recording no
+        graph."""
+        cfg = tiny_cfg(method="dml", archs=archs, **({} if k is None else {"k": k}))
+        plans = [build_plan(cfg), build_plan(cfg)]
+        nets, forward, modes = plans[0].nets, blocks.Network.forward, []
+
+        def noting_forward(net, x):  # (net index, recording) per forward of plans[0]
+            if net in nets:
+                modes.append((nets.index(net), tensor._grad_mode.enabled))
+            return forward(net, x)
+
+        monkeypatch.setattr(blocks.Network, "forward", noting_forward)
+        for seed in (0, 1):
+            x, y = make_batch(cfg, seed=seed)
+            modes.clear()
+            records = train_step(plans[0], x, y)
+            # forward counts [1, 2, ...]: the recorded pass, then net k > 0's graph-free one
+            assert sorted(modes) == [(0, True)] + [(i, recording) for i in range(1, len(nets))
+                                                   for recording in (False, True)]
+            assert records == _net_by_net_dml_step(plans[1], x, y)
+            assert _state_bytes(plans[0]) == _state_bytes(plans[1])
+
+    def test_a_refused_dml_step_takes_no_sgd_step(self, monkeypatch):
+        """Only net 1's loss is NaN: every loss is checked before any backward
+        or step, so no net steps, and every parameter and velocity keeps its
+        bytes."""
+        cfg = tiny_cfg(method="dml")
+        plan = build_plan(cfg)
+        x, y = make_batch(cfg)
+        train_step(plan, x, y)  # velocities away from zero
+        opt = plan.logit_opt
+        before = [(p.data.tobytes(), opt.velocity[n].tobytes()) for n, p in opt.params.items()]
+        outs, forward, ce = [], plan.nets[1].forward, L.cross_entropy
+        monkeypatch.setattr(plan.nets[1], "forward", lambda xt: outs.append(forward(xt)) or outs[-1])
+        monkeypatch.setattr(L, "cross_entropy", lambda labels, z: ce(labels, z) * (
+            np.nan if any(z is logits for _, logits in outs) else 1.0))
+        with pytest.raises(NonFiniteError, match=r"loss_ce\[net1\]"):
+            train_step(plan, x, y)
+        assert [(p.data.tobytes(), opt.velocity[n].tobytes())
+                for n, p in opt.params.items()] == before
+
     @pytest.mark.parametrize("fault", ["nan_disc_weight", "nan_g_loss"])
     def test_a_refused_phase_b_changes_no_state(self, monkeypatch, fault):
         """Edge 1 fails after edge 0's losses were fine: no Adam step is taken
         and no discriminator or transfer batch-norm buffer moves. NaN scores
-        fail the LSGAN losses' [0, 1] check (``ContractError``) before the
-        finite check; a non-finite fooling loss fails the finite check."""
+        fail the LSGAN losses' score check; a non-finite fooling loss fails
+        the finite check. Both are ``NonFiniteError``s."""
         cfg = tiny_cfg(archs="tiny-a,tiny-b")
         plan = build_plan(cfg)
         x, y = make_batch(cfg)
@@ -598,18 +664,16 @@ class TestConcurrentPhases:
             weight = disc1.conv1.weight.data.copy()
             weight[0, 0, 0, 0] = np.nan
             disc1.conv1.weight.data = weight
-            error = ContractError
         else:
             scores, forward, g_loss = [], disc1.forward, L.lsgan_g_loss
             monkeypatch.setattr(disc1, "forward",
                                 lambda feature: scores.append(forward(feature)) or scores[-1])
             monkeypatch.setattr(L, "lsgan_g_loss", lambda d_own: g_loss(d_own) * (
                 np.nan if any(d_own is s for s in scores) else 1.0))
-            error = NonFiniteError
         feats, logits = forward_all(plan, x)
         records = afd_logit_phase(plan, y, feats, logits)
         after_phase_a = _state_bytes(plan)
-        with pytest.raises(error, match=r"edge1\]|d_peer"):
+        with pytest.raises(NonFiniteError, match=r"edge1\]|d_peer"):
             afd_adversarial_phase(plan, feats, records)
         assert _state_bytes(plan) == after_phase_a
 
