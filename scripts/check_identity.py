@@ -27,10 +27,14 @@ every compared tree accepts are used.
 
 After training, each run's ``checkpoint_final.afdk`` is restored and the
 raw float32 bytes of every net's eval-mode logits on the standardized test
-split are written, net after net, to ``eval_logits.bin``. That covers the
+split are written, net after net, to ``eval_logits.bin``, and each net's
+logits for test image 0 alone to ``eval_logits_1.bin``. That covers the
 eval-mode kernels (batch norm on running statistics, pooling) to the last
 bit; a last-bit change there almost never moves a top-1 fraction in
-``metrics.csv``. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs
+``metrics.csv``. A one-image batch takes other BLAS paths than a whole
+split (its logits differ in the last bits from the same image's inside the
+split), and it is the graph-free path that the plan's feature-map probe
+runs. The ``afd_mixed``, ``afd_k3`` and ``afd_idx`` runs
 also write, from that checkpoint and through ``peerkd.cli.main``, the stdout
 of ``peerkd eval`` (``eval.txt``) and of ``peerkd analyze``
 (``analyze.csv``), and one ``peerkd gradcam`` heatmap, ``gradcam.pgm``, of
@@ -138,14 +142,17 @@ def run_config(flags):
 
 
 def write_eval_logits(flags, run_dir):
-    """Restore the run's final checkpoint and write its test-split logits."""
+    """Restore the run's final checkpoint and write its test-split logits,
+    and each net's logits for test image 0 alone."""
     plan, test = restore_run(run_config(flags),
                              os.path.join(run_dir, "checkpoint_final.afdk"))
-    with open(os.path.join(run_dir, "eval_logits.bin"), "wb") as f, \
-            eval_mode(*plan.nets), no_grad():
-        for net in plan.nets:
-            _, logits = net.forward(Tensor(test.images))
-            f.write(logits.data.tobytes())
+    with eval_mode(*plan.nets), no_grad():
+        for name, images in (("eval_logits.bin", test.images),
+                             ("eval_logits_1.bin", test.images[:1])):
+            with open(os.path.join(run_dir, name), "wb") as f:
+                for net in plan.nets:
+                    _, logits = net.forward(Tensor(images))
+                    f.write(logits.data.tobytes())
 
 
 def write_restored_outputs(flags, run_dir):

@@ -16,7 +16,7 @@ from .blocks import eval_mode
 from .checkpoint import write_atomic
 from .data import Dataset, sequential_batches
 from .errors import ContractError, DataError, ShapeError, UsageError
-from .tensor import Tensor, backward, mean_all, no_grad, take_rows
+from .tensor import Tensor, _run_each, backward, mean_all, no_grad, take_rows
 
 
 @dataclass
@@ -46,16 +46,21 @@ def _paired_vectors(fa: np.ndarray, fb: np.ndarray):
     )
 
 
+def _features(net, x):
+    """A net's graph-free feature map of a batch, as float64."""
+    with no_grad():
+        return net.extract(Tensor(x)).data.astype(np.float64)
+
+
 def feature_similarity(net_a, net_b, dataset: Dataset, batch_size: int = 256) -> SimilarityReport:
-    """Average L1/L2/cosine between the two nets' features over a dataset."""
+    """Average L1/L2/cosine between the two nets' features over a dataset;
+    the nets run concurrently, the sums on the caller in batch order."""
     if dataset.n == 0:
         raise DataError("cannot compute similarity on an empty dataset")
     l1_sum = l2_sum = cos_sum = 0.0
-    with eval_mode(net_a, net_b), no_grad():
+    with eval_mode(net_a, net_b):
         for x, _ in sequential_batches(dataset, batch_size):
-            xt = Tensor(x)
-            fa = net_a.extract(xt).data.astype(np.float64)
-            fb = net_b.extract(xt).data.astype(np.float64)
+            fa, fb = _run_each(lambda net: _features(net, x), (net_a, net_b))
             va, vb = _paired_vectors(fa, fb)
             diff = va - vb
             l1_sum += float(np.abs(diff).mean(axis=1).sum())

@@ -167,8 +167,11 @@ def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
 
 
 def sequential_batches(dataset: Dataset, batch_size: int):
-    for i in range(0, dataset.n, batch_size):
-        yield dataset.images[i:i + batch_size], dataset.labels[i:i + batch_size]
+    """(images, labels) views of the dataset in order; the final short batch is kept."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    return [(dataset.images[i:i + batch_size], dataset.labels[i:i + batch_size])
+            for i in range(0, dataset.n, batch_size)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ a Tensor, so an op's output array lives only as long as some Tensor or vjp
 holds it: a conv, batch-norm, ReLU or pooling output inside a net is freed
 as soon as the next layer has taken it.
 
+A conv gathers its [B, C*kh*kw, L] columns in one ``np.take`` along a
+cached flat index per image shape, from the input with one zero appended
+for the padding, and its vjp returns the input gradient contiguous. Batch
+norm's per-channel element ops run along [B, C*H*W] rows. Each kernel keeps
+the plain formulas' element ops, reductions and GEMM operands, so the bytes.
+
 A recorded conv keeps its columns in the layout of the kernel-gradient
 GEMM's second operand, so no backward copies them. Its vjp puts the kernel
 gradient and the input gradient's slices of ``GRAD_X_SLICE`` images on one
@@ -484,19 +490,30 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 GRAD_X_SLICE = 32
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    """Sliding windows of a padded NCHW array as [B, C*kh*kw, L] columns."""
+@functools.lru_cache(maxsize=None)
+def _col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """The flat C*H*W input index of each [C*kh*kw, L] column entry of one
+    image (C*H*W, one zero past the image, on the padding), read-only as
+    every conv of the shape shares it; and the output height and width."""
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    row = np.arange(kh)[:, None, None, None] + stride * np.arange(oh)[:, None] - padding
+    col = np.arange(kw)[:, None, None] + stride * np.arange(ow) - padding
+    inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
+    channel = h * w * np.arange(c)[:, None, None, None, None]
+    index = np.where(inside, channel + row * w + col, c * h * w).reshape(-1).astype(np.intp)
+    index.flags.writeable = False
+    return index, oh, ow
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """[B, C*kh*kw, L] columns of an NCHW array; a view for a 1x1 conv."""
     b, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sb, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(b, c, kh, kw, oh, ow),
-        strides=(sb, sc, sh, sw, stride * sh, stride * sw),
-        writeable=False,
-    )
-    return windows.reshape(b, c * kh * kw, oh * ow), oh, ow
+    if kh == kw == stride == 1 and not padding:
+        return x.reshape(b, c, h * w), h, w
+    index, oh, ow = _col_index(c, h, w, kh, kw, stride, padding)
+    src = np.concatenate((x.reshape(b, c * h * w), np.zeros((b, 1), dtype=x.dtype)), axis=1)
+    # every index is in range: "wrap" only skips the default's bounds check
+    return np.take(src, index, axis=1, mode="wrap").reshape(b, c * kh * kw, oh * ow), oh, ow
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
@@ -518,11 +535,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             f"conv2d: kernel {kh}x{kw} larger than padded input "
             f"{h + 2 * padding}x{w + 2 * padding}"
         )
-    xp = x.data
-    if padding:
-        xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
+    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     wmat = kernel.data.reshape(c_out, -1)
     out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
     out += bias.data[None, :, None, None]
@@ -536,7 +549,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     # a constant input (a data batch, a detached feature) costs no input
     # gradient; a recorded conv's kernel and bias are parameters
     need_x, dtype = x.requires_grad, x.data.dtype
-    hp, wp = xp.shape[2:]
+    hp, wp = h + 2 * padding, w + 2 * padding
 
     def kernel_grad(go):
         # tensordot's own GEMM, on its own operands
@@ -565,9 +578,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         tasks = [functools.partial(input_slice, b0) for b0 in range(0, b, GRAD_X_SLICE)]
         tasks.insert(1, functools.partial(kernel_grad, go))
         g_kernel = _run_each(lambda task: task(), tasks)[1]
-        g_xp = np.ascontiguousarray(g_xp.transpose(2, 3, 0, 1))
-        g_x = g_xp[:, :, padding:padding + h, padding:padding + w] if padding else g_xp
-        return g_x, g_kernel, go.sum(axis=(0, 2))
+        g_x = g_xp[padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
+        return np.ascontiguousarray(g_x), g_kernel, go.sum(axis=(0, 2))
 
     return _make(out, parents, vjp, "conv2d")
 
@@ -583,20 +595,27 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     The centred input is computed once: the variance is the mean of its
     square (the bits of ``np.var``), and it becomes the normalized input in
-    place. The vjp takes the means of ``g`` and ``g * xhat`` from the sums it
-    already has for the beta and gamma gradients.
+    place. Per-channel values repeated H*W times give a broadcast's element
+    ops along [B, C*H*W] rows. The square's buffer becomes the output, as
+    does the normalized input of an unrecorded eval op. The vjp takes the
+    means of ``g`` and ``g * xhat`` from the sums it already has for the
+    beta and gamma gradients, and reuses the ``g * xhat`` buffer.
     """
     if x.data.ndim != 4:
         raise ShapeError("batch_norm expects NCHW input")
-    c = x.data.shape[1]
+    b, c, h, w = shape = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be per-channel vectors")
-    axes = (0, 2, 3)
-    n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    axes, n = (0, 2, 3), b * h * w
+    per_row = functools.partial(np.repeat, repeats=h * w)
+    x_rows = x.data.reshape(b, c * h * w)
+    parents = (x, gamma, beta)
+    recorded = _records(parents)
     if training:
         mean = x.data.mean(axis=axes)
-        xhat = x.data - mean[None, :, None, None]
-        var = (xhat * xhat).mean(axis=axes)
+        xhat = x_rows - per_row(mean)
+        out = np.multiply(xhat, xhat)
+        var = out.reshape(shape).mean(axis=axes)
         unbiased = var * (n / (n - 1)) if n > 1 else var
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
@@ -604,26 +623,31 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var += momentum * unbiased
     else:
         var = running_var.astype(x.data.dtype, copy=False)
-        xhat = x.data - running_mean.astype(x.data.dtype, copy=False)[None, :, None, None]
+        xhat = x_rows - per_row(running_mean.astype(x.data.dtype, copy=False))
+        out = np.empty_like(xhat) if recorded else xhat
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat *= inv_std[None, :, None, None]
+    xhat *= per_row(inv_std)
     gamma_data = gamma.data
-    out = gamma_data[None, :, None, None] * xhat
-    out += beta.data[None, :, None, None]
+    np.multiply(per_row(gamma_data), xhat, out=out)
+    out += per_row(beta.data)
+    if not recorded:
+        return Tensor(out.reshape(shape))
 
     def vjp(g):
         g_beta = g.sum(axis=axes)
-        g_gamma = (g * xhat).sum(axis=axes)
-        scale = (gamma_data * inv_std)[None, :, None, None]
+        g_rows = g.reshape(b, c * h * w)
+        g_xhat = g_rows * xhat
+        g_gamma = g_xhat.reshape(shape).sum(axis=axes)
+        scale = per_row(gamma_data * inv_std)
         if training:
-            g_x = g - (g_beta / n)[None, :, None, None]
-            g_x -= xhat * (g_gamma / n)[None, :, None, None]
+            g_x = g_rows - per_row(g_beta / n)
+            g_x -= np.multiply(xhat, per_row(g_gamma / n), out=g_xhat)
             np.multiply(scale, g_x, out=g_x)
         else:
-            g_x = scale * g
-        return g_x, g_gamma, g_beta
+            g_x = scale * g_rows
+        return g_x.reshape(shape), g_gamma, g_beta
 
-    return _make(out, (x, gamma, beta), vjp, "batch_norm")
+    return _make(out.reshape(shape), parents, vjp, "batch_norm")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -643,10 +667,10 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
     """Non-overlapping k x k average pooling; spatial dims must divide by k.
 
     The window sum adds the strided slices ``x[:, :, i::k, j::k]`` along each
-    window row, then adds the rows, each ``sum`` starting from its 0, which
-    adds as +0.0. That is the order and the start of numpy's mean over the
-    reshaped windows, so the result has its bits: the +0.0 start turns an
-    all -0.0 window (a ReLU of negatives) into +0.0, as numpy does. Two cases
+    window row, then adds the rows, each sum starting from +0.0 in its own
+    buffer: the order and the start of numpy's mean over the reshaped
+    windows, so the result has its bits, and the +0.0 start turns an all
+    -0.0 window (a ReLU of negatives) into +0.0, as numpy does. Two cases
     differ in the last bit: k >= 8, where numpy sums a window row pairwise,
     and an output width of 1, where numpy sums each window as one run.
     """
@@ -654,11 +678,16 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
         raise ShapeError("avg_pool2d expects NCHW input")
     if k < 1:
         raise ConfigError(f"avg_pool2d: pool size must be >= 1, got {k}")
-    h, w = x.data.shape[2:]
+    b, c, h, w = x.data.shape
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    d = x.data
-    out = sum(sum(d[:, :, i::k, j::k] for j in range(k)) for i in range(k))
+    windows = x.data.reshape(b, c, h // k, k, w // k, k)
+    out, row = np.zeros((b, c, h // k, w // k), dtype=x.data.dtype), None
+    for i in range(k):
+        row = np.add(windows[:, :, :, i, :, 0], 0, out=row)
+        for j in range(1, k):
+            row += windows[:, :, :, i, :, j]
+        out += row
     out /= k * k
 
     def vjp(g):

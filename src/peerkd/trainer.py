@@ -338,7 +338,7 @@ def evaluate(nets, dataset: Dataset, batch_size: int):
     correct = np.zeros(len(nets), dtype=np.int64)
     ens_correct = 0
     with eval_mode(*nets):
-        batches = list(sequential_batches(dataset, batch_size))
+        batches = sequential_batches(dataset, batch_size)
         pairs = [(net, x) for x, _ in batches for net in nets]
         probs = iter(_run_each(lambda pair: _eval_probs(*pair), pairs))
         for _, y in batches:

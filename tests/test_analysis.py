@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import fail_binary_writes
-from peerkd import analysis, blocks, data
-from peerkd.errors import ContractError, DataError, ShapeError, UsageError
+from peerkd import analysis, blocks, data, tensor
+from peerkd.errors import ConfigError, ContractError, DataError, ShapeError, UsageError
 from peerkd.tensor import Tensor, no_grad
 
 
@@ -121,6 +121,34 @@ class TestFeatureSimilarity:
         net = _FixedFeatureNet(np.zeros((1, 2, 2, 2), dtype=np.float32))
         with pytest.raises(DataError):
             analysis.feature_similarity(net, net, _dataset(0))
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_refuses_a_batch_size_below_one(self, batch_size):
+        net = _FixedFeatureNet(np.zeros((4, 2, 2, 2), dtype=np.float32))
+        with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            analysis.feature_similarity(net, net, _dataset(), batch_size)
+
+    def test_each_net_extracts_without_recording_on_any_thread(self):
+        seen = []
+
+        class Probe(_FixedFeatureNet):
+            def extract(self, x):
+                seen.append(tensor._grad_mode.enabled)
+                return super().extract(x)
+
+        feats = np.ones((4, 2, 2, 2), dtype=np.float32)
+        analysis.feature_similarity(Probe(feats), Probe(feats), _dataset(), batch_size=1)
+        assert seen == [False] * 8
+
+    def test_same_report_as_a_net_by_net_loop(self, monkeypatch):
+        """Real tiny-a and tiny-b nets over several batches and a short last
+        one: running them concurrently leaves every sum's bytes."""
+        nets = [blocks.build_network(arch, 3, seed)
+                for seed, arch in enumerate(("tiny-a", "tiny-b"))]
+        ds = data.synth_blobs(3, 7, 16, 0.3, 5)
+        concurrent = analysis.feature_similarity(*nets, ds, 8)
+        monkeypatch.setattr(analysis, "_run_each", lambda fn, items: [fn(item) for item in items])
+        assert analysis.feature_similarity(*nets, ds, 8) == concurrent
 
     def test_modes_restored_when_extract_raises(self):
         feats = np.zeros((4, 2, 2, 2), dtype=np.float32)

@@ -1,6 +1,7 @@
 """Forward oracles and backward semantics of the tensor engine."""
 
 import collections
+import contextlib
 import sys
 import threading
 import time
@@ -246,11 +247,77 @@ def conv_reference(x, kernel, bias, stride, padding, g):
     return out, g_x, g_kernel, go.sum(axis=(0, 2))
 
 
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, training, g,
+                         momentum=0.1, eps=1e-5):
+    """Output and (input, gamma, beta) gradients of a batch norm, by formulas
+    that ``batch_norm`` must match byte for byte: per-channel broadcasts over
+    NCHW. Folds the batch statistics into the running buffers in place."""
+    axes = (0, 2, 3)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mean = x.mean(axis=axes)
+        xhat = x - mean[None, :, None, None]
+        var = (xhat * xhat).mean(axis=axes)
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    else:
+        var = running_var.astype(x.dtype, copy=False)
+        xhat = x - running_mean.astype(x.dtype, copy=False)[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = xhat * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    g_beta = g.sum(axis=axes)
+    g_gamma = (g * xhat).sum(axis=axes)
+    scale = (gamma * inv_std)[None, :, None, None]
+    if training:
+        g_x = scale * (g - (g_beta / n)[None, :, None, None]
+                       - xhat * (g_gamma / n)[None, :, None, None])
+    else:
+        g_x = scale * g
+    return out, g_x, g_gamma, g_beta
+
+
+def avg_pool_reference(x, k, g):
+    """Output and input gradient of a k x k average pool, by formulas that
+    ``avg_pool2d`` must match byte for byte: Python ``sum``s of the strided
+    window slices, and the output gradient repeated along both axes."""
+    out = sum(sum(x[:, :, i::k, j::k] for j in range(k)) for i in range(k))
+    out /= k * k
+    return out, np.repeat(np.repeat(g / (k * k), k, axis=3), k, axis=2)
+
+
 class TestConv2dBytes:
     """The conv's output and gradients have the bytes of the reference
     formulas on every conv shape the package trains, at batches of one image,
     under one input-gradient slice (``T.GRAD_X_SLICE``), a whole number of
-    slices and a slice plus a one-image remainder."""
+    slices and a slice plus a one-image remainder; the input gradient comes
+    back C-contiguous."""
+
+    @staticmethod
+    def _check(x, kernel, bias, stride, padding, need_x, rng):
+        out = T.conv2d(Tensor(x, requires_grad=need_x), Tensor(kernel, requires_grad=True),
+                       Tensor(bias, requires_grad=True), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want_out, want_x, want_kernel, want_bias = conv_reference(
+            x, kernel, bias, stride, padding, g)
+        got_x, got_kernel, got_bias = out._node.vjp(g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert got_kernel.shape == kernel.shape and got_kernel.tobytes() == want_kernel.tobytes()
+        assert got_bias.tobytes() == want_bias.tobytes()
+        if need_x:
+            assert got_x.shape == x.shape and got_x.flags.c_contiguous
+            assert got_x.tobytes() == want_x.tobytes()
+        else:
+            assert got_x is None
+
+    @staticmethod
+    def _inputs(rng, batch, c_in, c_out, k, h, w):
+        return (rng.standard_normal((batch, c_in, h, w)).astype(np.float32),
+                rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+                rng.standard_normal(c_out).astype(np.float32))
 
     @pytest.mark.parametrize("need_x", [True, False], ids=["input_grad", "no_input_grad"])
     @pytest.mark.parametrize("batch", [1, 8, 16, 33, 48, 128])
@@ -258,22 +325,114 @@ class TestConv2dBytes:
     def test_bytes_match_the_reference(self, conv, batch, need_x):
         c_in, c_out, k, stride, size = PACKAGE_CONVS[conv]
         rng = np.random.default_rng(batch)
-        x = rng.standard_normal((batch, c_in, size, size)).astype(np.float32)
-        kernel = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
-        bias = rng.standard_normal(c_out).astype(np.float32)
-        out = T.conv2d(Tensor(x, requires_grad=need_x), Tensor(kernel, requires_grad=True),
-                       Tensor(bias, requires_grad=True), stride=stride, padding=k // 2)
-        g = rng.standard_normal(out.shape).astype(np.float32)
-        want_out, want_x, want_kernel, want_bias = conv_reference(
-            x, kernel, bias, stride, k // 2, g)
-        got_x, got_kernel, got_bias = out._node.vjp(g)
-        assert out.data.tobytes() == want_out.tobytes()
-        assert got_kernel.shape == kernel.shape and got_kernel.tobytes() == want_kernel.tobytes()
-        assert got_bias.tobytes() == want_bias.tobytes()
-        if need_x:
-            assert got_x.shape == x.shape and got_x.tobytes() == want_x.tobytes()
-        else:
-            assert got_x is None
+        x, kernel, bias = self._inputs(rng, batch, c_in, c_out, k, size, size)
+        self._check(x, kernel, bias, stride, k // 2, need_x, rng)
+
+    @pytest.mark.parametrize("batch", [1, 8, 16, 33, 48, 128])
+    @pytest.mark.parametrize("conv", list(PACKAGE_CONVS))
+    def test_graph_free_output_matches_the_reference(self, conv, batch):
+        c_in, c_out, k, stride, size = PACKAGE_CONVS[conv]
+        x, kernel, bias = self._inputs(np.random.default_rng(batch), batch, c_in, c_out, k,
+                                       size, size)
+        with no_grad():
+            out = T.conv2d(Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True),
+                           Tensor(bias, requires_grad=True), stride=stride, padding=k // 2)
+        assert out._node is None
+        want = conv_reference(x, kernel, bias, stride, k // 2, np.zeros(out.shape, np.float32))
+        assert out.data.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("need_x", [True, False], ids=["input_grad", "no_input_grad"])
+    @pytest.mark.parametrize("batch", [1, 33])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+    def test_non_square_input(self, stride, padding, batch, need_x):
+        """H != W, so a column index that swapped the two would show."""
+        rng = np.random.default_rng(stride)
+        x, kernel, bias = self._inputs(rng, batch, 5, 4, 3, 6, 10)
+        self._check(x, kernel, bias, stride, padding, need_x, rng)
+
+
+# (channels, size) of every batch norm the package builds on 16x16 images:
+# after each extractor conv of tiny-a and tiny-b, and in the discriminator
+PACKAGE_BATCH_NORMS = {
+    "tiny-a_16": (16, 16), "tiny-a_64": (64, 8), "tiny-a_32": (32, 4),
+    "tiny-b_32": (32, 16), "tiny-b_128": (128, 8), "tiny-b_64": (64, 4), "disc_32": (32, 2),
+}
+
+
+class TestBatchNormBytes:
+    """Batch norm's output, running buffers and three gradients have the
+    bytes of the per-channel broadcast formulas on every batch-norm shape the
+    package builds, in both modes, recorded or not; specials in channel 0 of
+    the input and channel 1 of the gradient. A graph-free op leaves its input
+    as it was."""
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "graph_free"])
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("layer", list(PACKAGE_BATCH_NORMS))
+    def test_bytes_match_the_reference(self, layer, batch, dtype, training, recorded):
+        c, size = PACKAGE_BATCH_NORMS[layer]
+        rng = np.random.default_rng(batch)
+        shape = (batch, c, size, size)
+        channel = np.broadcast_to(np.arange(c)[None, :, None, None], shape)
+        x = _with_specials(rng, shape, dtype, channel == 0)
+        g = _with_specials(rng, shape, dtype, channel == 1)
+        gamma = rng.standard_normal(c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        rm0 = rng.standard_normal(c).astype(np.float32)  # the package's buffer dtype
+        rv0 = (rng.random(c) + 0.5).astype(np.float32)
+        rm, rv = rm0.copy(), rv0.copy()
+        x_before = x.tobytes()
+        with np.errstate(invalid="ignore"), contextlib.ExitStack() as stack:
+            if not recorded:
+                stack.enter_context(no_grad())
+            out = T.batch_norm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                               Tensor(beta, requires_grad=True), rm, rv, training)
+            want = batch_norm_reference(x, gamma, beta, rm0, rv0, training, g)
+        assert x.tobytes() == x_before
+        for name, got, expect in (("out", out.data, want[0]),
+                                  ("running_mean", rm, rm0), ("running_var", rv, rv0)):
+            assert _same_bits(got, expect), name
+        if not recorded:
+            assert out._node is None
+            return
+        with np.errstate(invalid="ignore"):
+            grads = out._node.vjp(g)
+        for name, got, expect in zip(("g_x", "g_gamma", "g_beta"), grads, want[1:]):
+            assert _same_bits(got, expect), name
+
+
+class TestAvgPoolBytes:
+    """Pooling's output and input gradient have the bytes of the ``sum`` and
+    ``np.repeat`` formulas, with windows of all -0.0 (+0.0 out), of NaN, of
+    +inf and of +-inf (NaN out)."""
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "graph_free"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_bytes_match_the_reference(self, k, dtype, recorded):
+        rng = np.random.default_rng(k)
+        shape = (2, 3, 3 * k, 4 * k)
+        x = _with_specials(rng, shape, dtype, rng.random(shape) < 0.1)
+        x[0, 0, :k, :k] = -0.0
+        x[0, 1, :k, :k] = np.nan
+        x[0, 2, :k, :k] = np.inf
+        x[1, 0, :k, :k] = np.inf
+        x[1, 0, k - 1, k - 1] = -np.inf
+        g = _with_specials(rng, (2, 3, 3, 4), dtype, rng.random((2, 3, 3, 4)) < 0.2)
+        with np.errstate(invalid="ignore"), contextlib.ExitStack() as stack:
+            if not recorded:
+                stack.enter_context(no_grad())
+            out = T.avg_pool2d(Tensor(x, requires_grad=True), k)
+            want_out, want_g = avg_pool_reference(x, k, g)
+        assert (want_out[0, 0, :1, :1].view(np.uint8) == 0).all()  # +0.0, not -0.0
+        assert np.isnan(want_out[0, 1, 0, 0]) and np.isnan(want_out[1, 0, 0, 0])
+        assert want_out[0, 2, 0, 0] == np.inf
+        assert _same_bits(out.data, want_out)
+        if recorded:
+            (got_g,) = out._node.vjp(g)
+            assert got_g.tobytes() == want_g.tobytes()
 
 
 class TestBatchNorm:

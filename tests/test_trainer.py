@@ -369,6 +369,12 @@ class TestEvaluate:
             evaluate([steady, failing], self._dataset([0, 0, 1, 1]), batch_size=2)
         assert steady.training and failing.training
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_refuses_a_batch_size_below_one(self, batch_size):
+        net = _FixedLogitNet([1.0, 0.0])
+        with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            evaluate([net, net], self._dataset([0, 1]), batch_size)
+
 
 class _FailingLogitNet(_FixedLogitNet):
     """Evaluation stub whose forward raises on its second call."""
