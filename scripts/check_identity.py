@@ -9,11 +9,12 @@ K=3 (a ring: nets 1, 2 pass twice), kd_ensemble with K=3, l1 and afd on a
 tiny-a/tiny-b pair, l1_kd, afd with K=3, l1_kd_offline (the frozen-teacher
 path, with net 0 of the vanilla run's final checkpoint as teacher), afd
 with ``--adversarial off`` (the logit-only ablation), afd on a tiny-a pair
-that reads IDX files (``--data-source idx``), and two resumed runs,
-``afd_mixed_resumed`` and ``dml_resumed``: the ``afd_mixed`` and ``dml``
-flags again, resumed with ``--resume`` from that run's
-``checkpoint_ep1.afdk`` into a directory of their own, so the restored
-parameters, buffers and SGD and Adam state are under the diff too. Every
+that reads IDX files (``--data-source idx``), and three resumed runs,
+``afd_mixed_resumed``, ``afd_k3_resumed`` and ``dml_resumed``: the
+``afd_mixed``, ``afd_k3`` and ``dml`` flags again, resumed with ``--resume``
+from that run's ``checkpoint_ep1.afdk`` into a directory of their own, so
+the restored parameters, buffers and SGD and Adam state, of two edges and
+of three, are under the diff too. Every
 run uses 3 classes, 3 epochs, batch 32, 64 training and 16 test images per
 class, 16x16 images and milestone 1 for both learning rates, except
 ``afd_mixed_uneven``: the ``afd_mixed`` flags at batch 100 on 67 training
@@ -113,7 +114,8 @@ RUNS = {
 }
 
 # resumed run -> the run of RUNS whose flags it repeats and whose epoch-1 checkpoint it resumes
-RESUMED_RUNS = {"afd_mixed_resumed": "afd_mixed", "dml_resumed": "dml"}
+RESUMED_RUNS = {"afd_mixed_resumed": "afd_mixed", "afd_k3_resumed": "afd_k3",
+                "dml_resumed": "dml"}
 
 GRADCAM_RUNS = ("afd_mixed", "afd_k3", "afd_idx")
 

@@ -97,6 +97,9 @@ def load_entries(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry name at byte offset {off - name_len} "
                               "is not UTF-8") from None
+        if name in entries:
+            raise FormatError(f"{path}: repeated entry name {name!r} "
+                              f"at byte offset {off - name_len}")
         chunk, off = take(buf, off, 1, path)
         rank = chunk[0]
         chunk, off = take(buf, off, 4 * rank, path)

@@ -8,9 +8,11 @@ weight, a batch-norm gamma) keep their pre-step values: a graph recorded
 before a step is differentiated at the pre-step parameters, whenever its
 backward runs.
 
-``state_arrays`` returns the optimizer's live state arrays (velocities,
-moments, step counts): the arrays a checkpoint saves, and the arrays a
-restore copies into (``trainer.restore_plan``).
+Both optimizers have one protocol: ``zero_grad`` clears every parameter's
+gradient, ``step`` updates every parameter that has one (so a phase runs its
+backwards, then takes one step), and ``state_arrays`` returns the live state
+arrays (velocities, moments, step counts): the arrays a checkpoint saves, and
+the arrays a restore copies into (``trainer.restore_plan``).
 """
 
 from __future__ import annotations
@@ -69,15 +71,15 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, names):
-        """Update the named parameters; skips absent grads.
+    def step(self):
+        """Update every parameter that has a gradient; skips the rest.
 
-        Step counts are per parameter, so updating the discriminator and the
-        extractor at different points in a batch keeps each bias correction
-        consistent with how often that parameter actually moved.
+        Step counts are per parameter, so each bias correction counts how
+        often that parameter actually moved. An update reads only its own
+        parameter's gradient, data, moments and count, so steps over disjoint
+        gradient groups give the same bytes in any order, or as one step.
         """
-        for name in names:
-            p = self.params[name]
+        for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad + self.weight_decay * p.data

@@ -204,7 +204,7 @@ class Tensor:
     optimizers replace the array rather than writing into it, so saved
     activations in recorded graphs stay consistent. A tensor requires a
     gradient exactly when it has a graph node: its op's, or a leaf's, made
-    when ``requires_grad`` is set.
+    when it is built with ``requires_grad=True``.
     """
 
     __slots__ = ("data", "grad", "_node")
@@ -222,25 +222,13 @@ class Tensor:
     def requires_grad(self):
         return self._node is not None
 
-    @requires_grad.setter
-    def requires_grad(self, value):
-        self._node = (self._node or _Node()) if value else None
-
     @property
     def shape(self):
         return self.data.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -537,8 +525,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         )
     cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     wmat = kernel.data.reshape(c_out, -1)
-    out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
-    out += bias.data[None, :, None, None]
+    # the bias goes on along [B, C_out*oh*ow] rows of the fresh product: a
+    # broadcast's element adds, without its oh*ow-long inner loop
+    out = np.matmul(wmat, cols).reshape(b, c_out * oh * ow)
+    out += np.repeat(bias.data, oh * ow)
+    out = out.reshape(b, c_out, oh, ow)
     parents = (x, kernel, bias)
     if not _records(parents):
         return Tensor(out)
@@ -584,9 +575,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     return _make(out, parents, vjp, "conv2d")
 
 
+# the running statistics' moving-average weight, and the variance's offset
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel normalization over (B, H, W) of an NCHW tensor.
 
     Training mode normalizes by batch statistics and folds them into the
@@ -617,15 +613,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         out = np.multiply(xhat, xhat)
         var = out.reshape(shape).mean(axis=axes)
         unbiased = var * (n / (n - 1)) if n > 1 else var
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         var = running_var.astype(x.data.dtype, copy=False)
         xhat = x_rows - per_row(running_mean.astype(x.data.dtype, copy=False))
         out = np.empty_like(xhat) if recorded else xhat
-    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=x.data.dtype))
     xhat *= per_row(inv_std)
     gamma_data = gamma.data
     np.multiply(per_row(gamma_data), xhat, out=out)

@@ -8,13 +8,13 @@ full experiments with CSV metrics and binary checkpoints.
 Per batch the full method runs one inference per network and two
 optimizations: phase A steps every network synchronously on cross-entropy
 plus the peer mimicry term, then phase B reuses the same feature maps to
-step each edge's discriminator on the least-squares real/fake objective and
-each extractor (plus transfer layer) on the fooling objective, under a
-separate Adam with its own schedule. Every backward names the parameters
-it trains, so no loss writes a gradient anywhere else. Every vjp uses the
-values recorded with its op, so the fooling gradient is taken at the
-parameters of the forward pass: before phase A's SGD step for the extractor
-and before the discriminator's update in the same batch (see
+train each edge's discriminator on the least-squares real/fake objective and
+each extractor (plus transfer layer) on the fooling objective, then takes
+one step of a separate Adam with its own schedule. Every backward names the
+parameters it trains, so no loss writes a gradient anywhere else. Every vjp
+uses the values recorded with its op, so the fooling gradient is taken at
+the parameters of the forward pass: before phase A's SGD step for the
+extractor and before the discriminator's update in the same batch (see
 ``afd_adversarial_phase``).
 
 The per-net passes of ``forward_all``, every (batch, net) pass of
@@ -75,8 +75,6 @@ class DistillPlan:
     logit_opt: SGDMomentum
     adv_opt: Adam | None
     frozen: set  # indices of nets that take no step (the offline teacher)
-    disc_param_names: dict  # edge index -> adv_opt names of its discriminator
-    gen_param_names: dict  # edge index -> adv_opt names of its extractor and transfer layer
 
     def incoming(self, k: int):
         """(edge index, source net) of the edge into net ``k``, or None without
@@ -135,25 +133,19 @@ def build_plan(config: RunConfig) -> DistillPlan:
                             config.weight_decay_logit)
 
     adv_opt = None
-    disc_param_names, gen_param_names = {}, {}
     if adversarial:
         adv_params = {}
         for i, net in enumerate(nets):
             adv_params.update(_prefixed(f"net{i}", net.extractor_params()))
-        for e, (src, dst) in enumerate(edges):
-            disc = _prefixed(f"disc{e}", discriminators[e].params())
-            transfer = _prefixed(f"transfer{e}", transfer_layers[e].params())
-            adv_params.update({**disc, **transfer})
-            disc_param_names[e] = list(disc)
-            gen_param_names[e] = (list(_prefixed(f"net{dst}", nets[dst].extractor_params()))
-                                  + list(transfer))
+        for e in range(len(edges)):
+            adv_params.update(_prefixed(f"disc{e}", discriminators[e].params()))
+            adv_params.update(_prefixed(f"transfer{e}", transfer_layers[e].params()))
         adv_opt = Adam(adv_params, config.lr_adv, weight_decay=config.weight_decay_adv)
 
     return DistillPlan(
         method=config.method, nets=nets, edges=edges,
         discriminators=discriminators, transfer_layers=transfer_layers,
-        temperature=config.temperature, logit_opt=logit_opt, adv_opt=adv_opt,
-        frozen=frozen, disc_param_names=disc_param_names, gen_param_names=gen_param_names,
+        temperature=config.temperature, logit_opt=logit_opt, adv_opt=adv_opt, frozen=frozen,
     )
 
 
@@ -242,19 +234,20 @@ def _second_pass(net, x):
 def afd_adversarial_phase(plan: DistillPlan, feats, records):
     """Phase B: per edge, the discriminator's and the extractor+transfer
     layer's gradients, the edges concurrently, one ``_run_each`` item each;
-    then, on the calling thread and in edge order, each edge's discriminator
-    Adam step and its extractor+transfer step.
+    then, as in phase A, one step over the gradients they wrote.
 
-    Each backward names the parameters it trains: the discriminator loss
-    goes to the discriminator alone (its features come detached), and the
-    fooling loss to the extractor and transfer layer alone. ``build_plan``'s
-    ring gives each net at most one incoming edge, so the edges write
-    disjoint ``.grad``s and batch-norm buffers. The fooling gradient is
-    pre-update throughout: every vjp (conv kernels, batch-norm gammas) uses
-    the values saved at record time, so it is the gradient through the
+    Each backward trains the parameters of the edge's modules: the
+    discriminator loss goes to the discriminator alone (its features come
+    detached), and the fooling loss to net ``dst``'s extractor and the
+    transfer layer alone. ``build_plan``'s ring gives each net one incoming
+    edge, so each ``adv_opt`` parameter and batch-norm buffer has one writing
+    edge; an Adam update reads only its own parameter's state, so the one
+    step has the bytes of per-edge steps in edge order. The fooling gradient
+    is pre-update throughout: every vjp (conv kernels, batch-norm gammas)
+    uses the values saved at record time, so it is the gradient through the
     discriminator as it scored ``own``, and through the extractor as it was
     when it produced ``feats``, before phase A's SGD step. Every edge's
-    losses are checked before any step, and a failed edge restores the
+    losses are checked before the step, and a failed edge restores the
     batch-norm buffers that the edges' forwards moved, so a refused phase B
     changes no discriminator, extractor, transfer layer or Adam state. Each
     edge's losses go to ``records[dst]``: afd freezes no net, so record k is
@@ -265,8 +258,8 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
 
     def edge(e):
         src, dst = plan.edges[e]
-        disc = plan.discriminators[e]
-        own = plan.transfer_layers[e].forward(feats[dst])
+        disc, transfer = plan.discriminators[e], plan.transfer_layers[e]
+        own = transfer.forward(feats[dst])
         d_peer = disc.forward(feats[src].detach())
         d_own_detached = disc.forward(own.detach())
         d_own_live = disc.forward(own)
@@ -274,8 +267,8 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
         d_val = _finite(d_loss.item(), f"loss_d[edge{e}]")
         g_loss = L.lsgan_g_loss(d_own_live)
         g_val = _finite(g_loss.item(), f"loss_g[edge{e}]")
-        backward(d_loss, [opt.params[n] for n in plan.disc_param_names[e]])
-        backward(g_loss, [opt.params[n] for n in plan.gen_param_names[e]])
+        backward(d_loss, list(disc.params().values()))
+        backward(g_loss, [*plan.nets[dst].extractor_params().values(), *transfer.params().values()])
         return d_val, g_val
 
     buffers = [arr for e in range(len(plan.edges))
@@ -288,9 +281,8 @@ def afd_adversarial_phase(plan: DistillPlan, feats, records):
         for arr, old in zip(buffers, saved):
             np.copyto(arr, old)
         raise
+    opt.step()
     for e, (_, dst) in enumerate(plan.edges):
-        opt.step(plan.disc_param_names[e])
-        opt.step(plan.gen_param_names[e])
         records[dst].loss_d, records[dst].loss_g = values[e]
 
 

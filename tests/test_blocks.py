@@ -61,11 +61,11 @@ class TestBuildNetwork:
         #   conv 1->16: 144+16, bn 32, conv 16->64: 9216+64, bn 128,
         #   conv 64->32: 18432+32, bn 64, head 32->6: 192+6
         net_a = blocks.build_network("tiny-a", 6, seed=0)
-        assert sum(p.size for p in net_a.params().values()) == 28326
+        assert sum(p.data.size for p in net_a.params().values()) == 28326
         # tiny-b doubles every width:
         #   288+32, 64, 36864+128, 256, 73728+64, 128, 384+6
         net_b = blocks.build_network("tiny-b", 6, seed=0)
-        assert sum(p.size for p in net_b.params().values()) == 111942
+        assert sum(p.data.size for p in net_b.params().values()) == 111942
 
     def test_presets_differ_in_feature_width(self):
         a = blocks.build_network("tiny-a", 6, seed=0)

@@ -94,6 +94,17 @@ def test_non_utf8_entry_name(tmp_path):
         checkpoint.load_entries(path)
 
 
+def test_repeated_entry_name(tmp_path):
+    path = tmp_path / "repeat.afdk"
+    checkpoint.save_entries(path, {"meta/epoch": np.asarray([2.0], dtype=np.float32)})
+    raw = path.read_bytes()
+    # the one 21-byte entry again, holding 7, with the count raised to 2
+    path.write_bytes(raw[:4] + struct.pack("<II", 1, 2) + raw[12:]
+                     + raw[12:-4] + struct.pack("<f", 7.0))
+    with pytest.raises(FormatError, match="repeated entry name 'meta/epoch' at byte offset 35"):
+        checkpoint.load_entries(path)
+
+
 def test_dims_past_int64_report_truncation(tmp_path):
     path = tmp_path / "dims.afdk"
     path.write_bytes(one_entry_afdk(b"x", (0x10000,) * 4))

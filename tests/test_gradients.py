@@ -28,7 +28,7 @@ def _away_from(x, threshold):
 def _readout(out, rng_weights):
     """Fixed random linear functional; keeps finite differences well conditioned."""
     weighted = out * Tensor(rng_weights)
-    return T.mean_all(weighted) * weighted.size
+    return T.mean_all(weighted) * weighted.data.size
 
 
 def _case_linear(rng):
@@ -68,7 +68,7 @@ def _case_batch_norm_train(rng):
         rv = np.ones(2)
         out = T.batch_norm(ts[0], ts[1], ts[2], rm, rv, training=True)
         weighted = out * Tensor(w)
-        return T.mean_all(weighted) * weighted.size
+        return T.mean_all(weighted) * weighted.data.size
 
     return fn, [x, g, b]
 
@@ -203,7 +203,7 @@ def _case_discriminator(rng):
 
     def fn(ts):
         scores = disc.forward(ts[0])
-        return T.mean_all(scores) * scores.size
+        return T.mean_all(scores) * scores.data.size
 
     return fn, [x]
 

@@ -96,25 +96,44 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.01, weight_decay=0.1)
         for g in grads:
             p.grad = g.copy()
-            opt.step(["p"])
+            opt.step()
         expect = reference_adam(init, [g.astype(np.float64) for g in grads], 0.01, wd=0.1)
         np.testing.assert_allclose(p.data, expect, rtol=1e-5)
 
-    def test_subset_step_advances_only_named(self):
+    def test_parameter_without_gradient_keeps_data_and_t(self):
         a, b = make_param([1.0]), make_param([1.0])
         opt = Adam({"a": a, "b": b}, lr=0.01, weight_decay=0.1)
         a.grad = np.asarray([1.0], dtype=np.float32)
-        b.grad = np.asarray([1.0], dtype=np.float32)
-        opt.step(["a"])
+        opt.step()
         assert opt.t["a"] == 1 and opt.t["b"] == 0
         np.testing.assert_array_equal(b.data, [1.0])
         assert a.data[0] != 1.0
+
+    @pytest.mark.parametrize("groups", [[(0, 1), (2, 3)], [(2, 3), (0, 1)]])
+    def test_steps_over_disjoint_groups_equal_one_step(self, groups):
+        rng = np.random.default_rng(3)
+        init = rng.standard_normal((4, 3)).astype(np.float32)
+        grads = rng.standard_normal((3, 4, 3)).astype(np.float32)  # step, parameter
+
+        def run(step_groups):
+            params = {str(i): make_param(row.copy()) for i, row in enumerate(init)}
+            opt = Adam(params, lr=0.01, weight_decay=0.1)
+            for g in grads:
+                for group in step_groups:
+                    opt.zero_grad()
+                    for i in group:
+                        params[str(i)].grad = g[i]
+                    opt.step()
+            arrays = [*opt.state_arrays().values(), *(p.data for p in params.values())]
+            return [arr.tobytes() for arr in arrays]
+
+        assert run(groups) == run([(0, 1, 2, 3)])
 
     def test_state_round_trip(self):
         p = make_param([1.0, 2.0])
         opt = Adam({"p": p}, lr=0.01, weight_decay=0.1)
         p.grad = np.asarray([0.5, -0.5], dtype=np.float32)
-        opt.step(["p"])
+        opt.step()
         opt2 = Adam({"p": p}, lr=0.01, weight_decay=0.1)
         for name, arr in opt2.state_arrays().items():
             np.copyto(arr, opt.state_arrays()[name])

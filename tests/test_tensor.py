@@ -139,20 +139,8 @@ class TestConv2d:
         bias = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         g = np.ones((2, 3, 5, 5), dtype=np.float32)
         out = T.conv2d(x, k, bias, padding=1)
-        x.requires_grad = True  # replay sees the record-time flag
         g_x, g_k, g_b = out._node.vjp(g)
         assert g_x is None and g_k.shape == k.shape and g_b.shape == (3,)
-
-    def test_requires_grad_set_after_construction_gets_gradients(self):
-        rng = np.random.default_rng(4)
-        x_data = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
-        k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)
-        grads = []
-        for x in (Tensor(x_data, requires_grad=True), Tensor(x_data)):
-            x.requires_grad = True  # a no-op for the first, a new leaf for the second
-            backward(T.mean_all(T.conv2d(x, k, zero_bias(3), padding=1)), [x])
-            grads.append(x.grad)
-        assert grads[1] is not None and grads[1].tobytes() == grads[0].tobytes()
 
     @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
     def test_float32_kernel_gradient_against_float64_oracle(self, k, stride, padding):
@@ -633,13 +621,13 @@ class TestBackward:
     def test_sum_of_squares(self):
         x = t64([1.0, -2.0, 3.0], grad=True)
         sq = x * x
-        backward(T.mean_all(sq) * sq.size, [x])
+        backward(T.mean_all(sq) * sq.data.size, [x])
         np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0])
 
     def test_sigmoid_grad_quarter(self):
         x = t64([0.0], grad=True)
         s = T.sigmoid(x)
-        backward(T.mean_all(s) * s.size, [x])
+        backward(T.mean_all(s) * s.data.size, [x])
         np.testing.assert_allclose(x.grad, [0.25])
 
     def test_non_scalar_raises(self):
@@ -652,13 +640,13 @@ class TestBackward:
         c = t64([2.0])
         xc = x * c
         with pytest.raises(UsageError):
-            backward(T.mean_all(xc) * xc.size, [x, c])
+            backward(T.mean_all(xc) * xc.data.size, [x, c])
         assert x.grad is None  # refused before anything is written
 
     def test_accumulation_doubles(self):
         x = t64([1.5, -0.5], grad=True)
         sq = x * x
-        loss = T.mean_all(sq) * sq.size
+        loss = T.mean_all(sq) * sq.data.size
         backward(loss, [x])
         first = x.grad.copy()
         backward(loss, [x])
@@ -668,7 +656,7 @@ class TestBackward:
         x = t64([1.0], grad=True)
         y = t64([2.0], grad=True)
         sq = x * x
-        backward(T.mean_all(sq) * sq.size, [x, y])
+        backward(T.mean_all(sq) * sq.data.size, [x, y])
         assert y.grad is None
 
     def test_linearity_power_of_two_exact(self):
@@ -701,7 +689,7 @@ class TestBackward:
         x = t64([2.0], grad=True)
         y = x * x
         sq = y * y
-        backward(T.mean_all(sq) * sq.size, [y, x])
+        backward(T.mean_all(sq) * sq.data.size, [y, x])
         np.testing.assert_allclose(y.grad, [8.0])  # d(y^2)/dy = 2y = 8
         np.testing.assert_allclose(x.grad, [32.0])  # d(x^4)/dx = 4x^3
 
@@ -709,7 +697,7 @@ class TestBackward:
         x = t64([3.0], grad=True)
         w = t64([2.0], grad=True)
         y = x * w
-        backward(T.mean_all(y) * y.size, [x])
+        backward(T.mean_all(y) * y.data.size, [x])
         np.testing.assert_array_equal(x.grad, [2.0])
         assert w.grad is None and y.grad is None
 
@@ -722,7 +710,7 @@ class TestBackward:
         vjp = node.vjp
         node.vjp = lambda g: replayed.append(g) or vjp(g)
         sq = feature * feature
-        backward(T.mean_all(sq) * sq.size, [feature])
+        backward(T.mean_all(sq) * sq.data.size, [feature])
         np.testing.assert_allclose(feature.grad, [4.0, 10.0])  # 2 * (x^2 + 1)
         assert replayed == [] and x.grad is None and below.grad is None
 
@@ -935,12 +923,12 @@ class TestTopoOrder:
         y = x * x
         z = y + x  # diamond: x used twice
         zy = z * y
-        loss = T.mean_all(zy) * zy.size
+        loss = T.mean_all(zy) * zy.data.size
         order = T.topo_order(loss)
         pos = {id(node): i for i, node in enumerate(order)}
         assert len(pos) == len(order)  # each op visited once
         assert order[-1] is loss._node
-        assert any(parent is None for node in order for parent in node.parents)  # zy.size
+        assert any(parent is None for node in order for parent in node.parents)  # zy.data.size
         for node in order:
             for parent in node.parents:
                 if parent is not None:  # a constant input is no graph node

@@ -138,16 +138,22 @@ class TestAfdStep:
         for skip in (False, True):
             plan = build_plan(cfg)
             if skip and skipped == "disc_step":
-                disc = {n for names in plan.disc_param_names.values() for n in names}
                 step = plan.adv_opt.step
-                plan.adv_opt.step = lambda names: step([n for n in names if n not in disc])
+
+                def step_without_disc():
+                    for disc in plan.discriminators.values():
+                        for p in disc.params().values():
+                            p.grad = None
+                    step()
+
+                plan.adv_opt.step = step_without_disc
             elif skip:
                 plan.logit_opt.step = lambda: None
             feats, logits = forward_all(plan, x)
             records = afd_logit_phase(plan, y, feats, logits)
             afd_adversarial_phase(plan, feats, records)
-            grads.append({name: plan.adv_opt.params[name].grad.tobytes()
-                          for names in plan.gen_param_names.values() for name in names})
+            grads.append({name: p.grad.tobytes() for name, p in plan.adv_opt.params.items()
+                          if not name.startswith("disc")})
         assert grads[0] == grads[1]
 
     @pytest.mark.parametrize("archs,k", [("tiny-a,tiny-b", 2), ("tiny-a", 3)])
@@ -161,9 +167,9 @@ class TestAfdStep:
         used = {}
         step = plan.adv_opt.step
 
-        def recording_step(names):
-            used.update({n: plan.adv_opt.params[n].grad for n in names})
-            step(names)
+        def recording_step():
+            used.update({n: p.grad for n, p in plan.adv_opt.params.items()})
+            step()
 
         plan.adv_opt.step = recording_step
         train_step(plan, x, y)
@@ -537,8 +543,8 @@ class TestConcurrentPeers:
 
 def _sequential_step(plan, x, y):
     """``train_step`` on the calling thread: the forwards and phase A's
-    backwards net by net, then phase B edge by edge, each edge's Adam steps
-    right after its backwards."""
+    backwards net by net, then phase B edge by edge, an Adam step right after
+    each of an edge's two backwards, over the one gradient just written."""
     feats, logits = _sequential_forward(plan, x)
     target = None
     if data.METHODS[plan.method][0] == "ensemble":
@@ -554,7 +560,6 @@ def _sequential_step(plan, x, y):
     opt = plan.adv_opt
     if opt is None:
         return records
-    opt.zero_grad()
     for e, (src, dst) in enumerate(plan.edges):
         disc = plan.discriminators[e]
         own = plan.transfer_layers[e].forward(feats[dst])
@@ -562,11 +567,14 @@ def _sequential_step(plan, x, y):
         d_own_detached = disc.forward(own.detach())
         d_own_live = disc.forward(own)
         d_loss = L.lsgan_d_loss(d_peer, d_own_detached)
-        backward(d_loss, [opt.params[n] for n in plan.disc_param_names[e]])
-        opt.step(plan.disc_param_names[e])
+        opt.zero_grad()
+        backward(d_loss, list(disc.params().values()))
+        opt.step()
         g_loss = L.lsgan_g_loss(d_own_live)
-        backward(g_loss, [opt.params[n] for n in plan.gen_param_names[e]])
-        opt.step(plan.gen_param_names[e])
+        opt.zero_grad()
+        backward(g_loss, [*plan.nets[dst].extractor_params().values(),
+                          *plan.transfer_layers[e].params().values()])
+        opt.step()
         records[dst].loss_d, records[dst].loss_g = d_loss.item(), g_loss.item()
     return records
 
