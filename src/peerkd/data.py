@@ -83,10 +83,14 @@ def load_idx(path_images, path_labels) -> Dataset:
 
 
 def save_idx(dataset: Dataset, path_images, path_labels):
-    """Quantize a single-channel [0,1] dataset back to IDX byte files."""
+    """Quantize a single-channel [0,1] dataset back to IDX byte files; the
+    labels must fit a byte."""
     n, c, h, w = dataset.images.shape
     if c != 1:
         raise DataError(f"IDX export supports single-channel images, got {c} channels")
+    if n and not 0 <= dataset.labels.min() <= dataset.labels.max() <= 255:
+        raise DataError(f"IDX labels must lie in [0, 255], got range "
+                        f"[{dataset.labels.min()}, {dataset.labels.max()}]")
     pixels = np.rint(np.clip(dataset.images, 0.0, 1.0) * 255.0).astype(np.uint8)
     write_atomic(path_images, [struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w), pixels.tobytes()])
     write_atomic(path_labels, [struct.pack(">II", IDX_LABEL_MAGIC, n),
@@ -124,8 +128,10 @@ def class_templates(num_classes: int, image_size: int) -> np.ndarray:
 def synth_blobs(num_classes: int, per_class: int, image_size: int,
                 noise_std: float, seed: int, split: str = "train") -> Dataset:
     """Balanced synthetic dataset: class template + Gaussian noise, clipped to [0,1]."""
-    if num_classes < 1 or per_class < 1 or image_size < 1 or noise_std < 0 or seed < 0:
-        raise ConfigError("synth_blobs parameters must be positive (noise_std, seed >= 0)")
+    if (num_classes < 1 or per_class < 1 or image_size < 1 or seed < 0
+            or not 0 <= noise_std < math.inf):
+        raise ConfigError("synth_blobs parameters must be positive (seed >= 0, "
+                          f"noise_std finite and >= 0, got {noise_std})")
     templates = class_templates(num_classes, image_size)
     rng = np.random.default_rng(seed)
     n = num_classes * per_class
@@ -325,13 +331,17 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
 
 def load_splits(config: RunConfig):
     """(train, test) raw datasets named by ``config``: IDX files or synthetic
-    blobs. IDX labels must lie in [0, num_classes) (``DataError``)."""
+    blobs. Each IDX split must hold images, with labels in [0, num_classes)
+    (``DataError``)."""
     if config.data_source == "idx":
         train = load_idx(config.train_images, config.train_labels)
         test = load_idx(config.test_images, config.test_labels)
-        for ds, path in ((train, config.train_labels), (test, config.test_labels)):
-            if ds.n and ds.labels.max() >= config.num_classes:
-                raise DataError(f"{path}: label {ds.labels.max()} is out of range "
+        for ds, images, labels in ((train, config.train_images, config.train_labels),
+                                   (test, config.test_images, config.test_labels)):
+            if not ds.n:
+                raise DataError(f"{images}: the split holds no images")
+            if ds.labels.max() >= config.num_classes:
+                raise DataError(f"{labels}: label {ds.labels.max()} is out of range "
                                 f"[0, {config.num_classes})")
         train.split, test.split = "train", "test"
         return train, test

@@ -27,22 +27,23 @@ A conv gathers its [B, C*kh*kw, L] columns in one ``np.take`` along a
 cached flat index per image shape, from the input with one zero appended
 for the padding, and its vjp returns the input gradient contiguous. Batch
 norm's per-channel element ops run along [B, C*H*W] rows. Each kernel keeps
-the plain formulas' element ops, reductions and GEMM operands, so the bytes.
+the plain formulas' element ops, reductions and GEMM operands, so the bytes
+stay the same.
 
 A recorded conv keeps its columns in the layout of the kernel-gradient
 GEMM's second operand, so no backward copies them. Its vjp puts the kernel
 gradient and the input gradient's slices of ``GRAD_X_SLICE`` images on one
-work queue (``_run_each``) that every thread shares: numpy releases the GIL
-inside the GEMMs, each slice writes its own images of one gradient buffer,
-and every item does the same arithmetic on any thread, so the gradients keep
-their bytes. ``trainer`` runs the peers' forward passes, its evaluation
-batches, phase A's per-net backwards and phase B's edges on the same queue,
-so a conv vjp's call may run inside another call's item, on any thread.
+work queue (``_run_each``): a stack of items that every thread shares and
+runs newest first. numpy releases the GIL inside the GEMMs, each slice
+writes its own images of one gradient buffer, and every item does the same
+arithmetic on any thread, so the gradients keep their bytes. ``trainer``
+runs the peers' forward passes, its evaluation batches, phase A's per-net
+backwards and phase B's edges on the same queue, so a conv vjp's call may
+run inside another call's item, on any thread.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -62,24 +63,14 @@ _grad_mode = _GradMode()
 
 
 class _Call:
-    """The items of one ``_run_each`` call: how many are taken and how many
-    unfinished, and each one's result and failure. ``taken`` and
-    ``unfinished`` change under ``_changed`` only."""
+    """The items of one ``_run_each`` call: how many are unfinished, and each
+    one's result and failure. ``unfinished`` changes under ``_changed`` only."""
 
-    __slots__ = ("fn", "items", "taken", "unfinished", "results", "errors")
+    __slots__ = ("fn", "items", "unfinished", "results", "errors")
 
     def __init__(self, fn, items):
-        self.fn, self.items = fn, items
-        self.taken, self.unfinished = 0, len(items)
+        self.fn, self.items, self.unfinished = fn, items, len(items)
         self.results, self.errors = [None] * len(items), [None] * len(items)
-
-    def take(self):
-        """The next item's index; a call leaves ``_queue`` with its last item."""
-        i = self.taken
-        self.taken += 1
-        if self.taken == len(self.items):
-            _queue.remove(self)
-        return i
 
     def run(self, i):
         try:
@@ -92,28 +83,30 @@ class _Call:
                 _changed.notify_all()
 
 
-def _work():
-    """A pool thread: run the newest queued call's next item, forever."""
+def _work(call=None):
+    """Run the newest queued item, again and again, until ``call`` has
+    finished; a pool thread (no ``call``) runs items forever."""
     while True:
         with _changed:
-            while not _queue:
+            while not _tasks and (call is None or call.unfinished):
                 _changed.wait()
-            call = _queue[-1]
-            i = call.take()
-        call.run(i)
+            if call is not None and not call.unfinished:
+                return
+            job, i = _tasks.pop()
+        job.run(i)
 
 
 def _reset_pool():
     """(Re)set the pool, at import and in a forked child (which has none of
     the parent's threads, and may hold a lock one of them took): an empty
-    ``_queue`` of calls with untaken items, the condition ``_changed`` that
-    guards it and every call's counts, and no threads until a call first
-    queues items; then ``_WORKERS`` daemon threads drain it, one per usable
-    CPU beyond the caller's and at least one."""
-    global _WORKERS, _queue, _changed, _threads
+    stack ``_tasks`` of queued (call, item index) pairs, the condition
+    ``_changed`` that guards it and every call's count, and no threads until
+    a call first queues items; then ``_WORKERS`` daemon threads run them, one
+    per usable CPU beyond the caller's and at least one."""
+    global _WORKERS, _tasks, _changed, _threads
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     _WORKERS = max(1, cpus - 1)
-    _queue, _changed, _threads = collections.deque(), threading.Condition(), []
+    _tasks, _changed, _threads = [], threading.Condition(), []
 
 
 def _share_malloc_arena():
@@ -134,39 +127,30 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_each(fn, items):
-    """``[fn(item) for item in items]``, run concurrently from one work queue
-    that any thread may call into, a pool thread running an item included.
+    """``[fn(item) for item in items]``, run concurrently from one stack of
+    queued items that any thread may call into, a pool thread running an
+    item included.
 
-    The caller queues the call's other items, runs item 0, then takes its
-    own next item until none is left, while the pool's threads take items of
-    the newest queued call, so a call made inside an item finishes before
-    new outer items start. A caller whose items are all taken runs other
-    calls' items until its own have finished, so no thread waits while
-    queued work could run. Results come back in item order. Every item
-    finishes before this returns or raises, and the first failure in item
-    order, a ``BaseException`` included, is the one raised. ``no_grad`` is
-    per thread, so an item that must not record enters it itself."""
+    The caller pushes items n-1 ... 1, so item 1 is on top, and runs item 0.
+    Then it runs queued items until its own have finished, as the pool's
+    threads do: every thread runs the newest queued item first, so a call
+    made inside an item finishes before new outer items start, and no
+    thread waits while an item is queued. Results come back in item order.
+    Every item finishes before this returns or raises, and the first failure
+    in item order, a ``BaseException`` included, is the one raised.
+    ``no_grad`` is per thread, so an item that must not record enters it
+    itself."""
     call = _Call(fn, list(items))
     if not call.items:
         return []
-    call.taken = 1
-    if len(call.items) > 1:
-        with _changed:
-            while len(_threads) < _WORKERS:
-                _threads.append(threading.Thread(target=_work, name="peerkd", daemon=True))
-                _threads[-1].start()
-            _queue.append(call)
-            _changed.notify_all()
+    with _changed:
+        while len(_threads) < _WORKERS:
+            _threads.append(threading.Thread(target=_work, name="peerkd", daemon=True))
+            _threads[-1].start()
+        _tasks.extend((call, i) for i in range(len(call.items) - 1, 0, -1))
+        _changed.notify_all()
     call.run(0)
-    while True:
-        with _changed:
-            while call.unfinished and not _queue:
-                _changed.wait()
-            if not call.unfinished:
-                break
-            job = call if call.taken < len(call.items) else _queue[-1]
-            i = job.take()
-        job.run(i)
+    _work(call)
     first = next((exc for exc in call.errors if exc is not None), None)
     if first is not None:
         raise first
@@ -254,9 +238,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _coerce(value, like: Tensor) -> Tensor:

@@ -251,6 +251,16 @@ def test_synth_data_refuses_negative_seed(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_data_refuses_non_finite_noise_std(tmp_path, capsys, value):
+    code = main(["synth-data", "--num-classes", "3", "--per-class", "4", "--noise-std", value,
+                 "--images", str(tmp_path / "i.idx"), "--labels", str(tmp_path / "l.idx")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and f"noise_std finite and >= 0, got {value}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--method", "afd", "--archs", "tiny-a,tiny-a", "--image-size", "8"],
      "discriminator needs spatial extent >= 4, got 2x2"),
@@ -338,6 +348,27 @@ def test_idx_labels_past_num_classes_are_refused_before_anything_runs(run_dir, t
         assert err.startswith(f"error: {lbl}: label 5 is out of range [0, 3)")
         assert "Traceback" not in err
     assert not (tmp_path / "idx").exists()
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_an_empty_idx_split_is_refused_before_anything_is_written(tmp_path, capsys, empty):
+    """An empty training split would standardize by a NaN mean and save a
+    checkpoint that cannot be opened."""
+    files = {split: (tmp_path / f"{split}.images.idx", tmp_path / f"{split}.labels.idx")
+             for split in ("train", "test")}
+    full = "test" if empty == "train" else "train"
+    assert main(["synth-data", "--num-classes", "3", "--per-class", "4", "--image-size", "16",
+                 "--images", str(files[full][0]), "--labels", str(files[full][1])]) == 0
+    data.save_idx(data.Dataset(np.zeros((0, 1, 16, 16), np.float32), np.zeros(0, np.int64)),
+                  *files[empty])
+    code = main(_tiny_train(tmp_path) + [
+        "--data-source", "idx", "--image-size", "16",
+        "--train-images", str(files["train"][0]), "--train-labels", str(files["train"][1]),
+        "--test-images", str(files["test"][0]), "--test-labels", str(files["test"][1])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {files[empty][0]}: the split holds no images")
+    assert not (tmp_path / "run").exists()
 
 
 def test_gradcam_default_target_is_the_predicted_class(run_dir, tmp_path, capsys):

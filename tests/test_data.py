@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import fail_binary_writes
 from peerkd import data
-from peerkd.errors import ConfigError, FormatError
+from peerkd.errors import ConfigError, DataError, FormatError
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x00000803,
@@ -93,6 +93,13 @@ class TestLoadIdx:
         again = data.load_idx(out_img, out_lbl)
         np.testing.assert_array_equal(ds.images, again.images)
         np.testing.assert_array_equal(ds.labels, again.labels)
+
+    @pytest.mark.parametrize("label", [300, -1])
+    def test_save_refuses_labels_a_byte_cannot_hold(self, tmp_path, label):
+        ds = data.Dataset(np.zeros((2, 1, 4, 4), np.float32), np.array([0, label]))
+        with pytest.raises(DataError, match=rf"labels must lie in \[0, 255\], got range"):
+            data.save_idx(ds, tmp_path / "o.idx", tmp_path / "l.idx")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_previous_files(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)

@@ -2,6 +2,8 @@
 
 import collections
 import contextlib
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -772,6 +774,41 @@ class TestGraphMemory:
         assert grads == held_grads
 
 
+@contextlib.contextmanager
+def frequent_switches():
+    """A 1 us thread switch interval inside the block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def each_item_once_under_frequent_switches():
+    """500 items, each taken once."""
+    taken = collections.Counter()
+    with frequent_switches():
+        results = T._run_each(lambda i: taken.update([i]) or -i, list(range(500)))
+    assert results == [-i for i in range(500)]
+    assert taken == collections.Counter(range(500))
+
+
+def nested_calls_under_frequent_switches():
+    """500 items, each making a call of 3 items of its own."""
+    taken, lock = collections.Counter(), threading.Lock()
+
+    def item(i):
+        with lock:
+            taken[i] += 1
+        return T._run_each(lambda j: (i, j), list(range(3)))
+
+    with frequent_switches():
+        results = T._run_each(item, list(range(500)))
+    assert results == [[(i, j) for j in range(3)] for i in range(500)]
+    assert taken == collections.Counter(range(500))
+
+
 class TestRunEach:
     """``_run_each``: one work queue that every thread shares, with more items
     than threads and with calls made inside items."""
@@ -807,33 +844,26 @@ class TestRunEach:
         assert T._run_each(lambda item: item, []) == []
 
     def test_each_item_is_taken_once_under_frequent_thread_switches(self):
-        taken = collections.Counter()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = T._run_each(lambda i: taken.update([i]) or -i, list(range(500)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [-i for i in range(500)]
-        assert taken == collections.Counter(range(500))
+        each_item_once_under_frequent_switches()
 
     def test_nested_calls_under_frequent_thread_switches(self):
-        """Each of 500 items makes a call of 3 items of its own."""
-        taken, lock = collections.Counter(), threading.Lock()
+        nested_calls_under_frequent_switches()
 
-        def item(i):
-            with lock:
-                taken[i] += 1
-            return T._run_each(lambda j: (i, j), list(range(3)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = T._run_each(item, list(range(500)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [[(i, j) for j in range(3)] for i in range(500)]
-        assert taken == collections.Counter(range(500))
+    def test_three_pool_threads_under_frequent_thread_switches(self):
+        """Both bodies above, 20 times each, in a fresh interpreter whose pool
+        starts three threads (more than a 2-CPU host gets by default)."""
+        code = ("from peerkd import tensor as T\n"
+                "import test_tensor as t\n"
+                "T._WORKERS = 3\n"
+                "for _ in range(20):\n"
+                "    t.each_item_once_under_frequent_switches()\n"
+                "    t.nested_calls_under_frequent_switches()\n"
+                "assert len(T._threads) == 3, T._threads\n")
+        paths = [os.path.dirname(os.path.dirname(T.__file__)), os.path.dirname(__file__)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_a_call_nested_in_an_item_on_a_pool_thread_finishes(self):
         """Item 1 runs on a pool thread (the caller holds item 0 until it has
@@ -879,6 +909,39 @@ class TestRunEach:
         results = T._run_each(outer, list(range(T._WORKERS + 1)))
         assert ran_on["inner item 1"] == threading.get_ident()
         assert results[1] == [True, None] and all(results[2:])
+
+    def test_every_thread_runs_the_newest_queued_item_first(self):
+        """Pool threads hold items 1..W, and item 1's inner call queues its
+        item b while outer item W+1 is still queued: the caller, once item 0
+        is done, runs b before W+1."""
+        workers = T._WORKERS
+        held = threading.Barrier(workers + 1)
+        b_queued, b_done, last_done = threading.Event(), threading.Event(), threading.Event()
+        order, ran_on = [], {}
+
+        def inner(j):
+            if j == 0:
+                b_queued.set()
+                return b_done.wait(30)
+            order.append("b")
+            ran_on["b"] = threading.get_ident()
+            b_done.set()
+
+        def outer(i):
+            if i == workers + 1:
+                order.append(i)
+                return last_done.set()
+            held.wait(30)
+            if i == 0:
+                return b_queued.wait(30)
+            if i == 1:
+                return T._run_each(inner, [0, 1])
+            return last_done.wait(30)
+
+        results = T._run_each(outer, list(range(workers + 2)))
+        assert order == ["b", workers + 1]
+        assert ran_on["b"] == threading.get_ident()
+        assert results[0] and results[1] == [True, None] and all(results[2:workers + 1])
 
     def test_a_base_exception_on_a_pool_thread_reaches_the_caller(self):
         class Stop(BaseException):
