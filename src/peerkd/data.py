@@ -128,10 +128,12 @@ def class_templates(num_classes: int, image_size: int) -> np.ndarray:
 def synth_blobs(num_classes: int, per_class: int, image_size: int,
                 noise_std: float, seed: int, split: str = "train") -> Dataset:
     """Balanced synthetic dataset: class template + Gaussian noise, clipped to [0,1]."""
-    if (num_classes < 1 or per_class < 1 or image_size < 1 or seed < 0
-            or not 0 <= noise_std < math.inf):
-        raise ConfigError("synth_blobs parameters must be positive (seed >= 0, "
-                          f"noise_std finite and >= 0, got {noise_std})")
+    for name, value, least in (("num_classes", num_classes, 1), ("per_class", per_class, 1),
+                               ("image_size", image_size, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"synth_blobs needs {name} >= {least}, got {value}")
+    if not 0 <= noise_std < math.inf:
+        raise ConfigError(f"synth_blobs needs noise_std finite and >= 0, got {noise_std}")
     templates = class_templates(num_classes, image_size)
     rng = np.random.default_rng(seed)
     n = num_classes * per_class
@@ -257,10 +259,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("lr_logit", "lr_adv"):
-            lr = getattr(self, name)
-            if not lr >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {lr}")
+        for name in ("lr_logit", "lr_adv", "momentum", "weight_decay_logit", "weight_decay_adv"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if not 0 < self.lr_factor <= 1:
             raise ConfigError(f"lr_factor must be in (0, 1], got {self.lr_factor}")
         for name in ("milestones_logit", "milestones_adv"):

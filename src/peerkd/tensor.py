@@ -110,14 +110,32 @@ def _reset_pool():
 
 
 def _share_malloc_arena():
-    """Have every thread allocate from the main thread's malloc arena (glibc's
-    ``M_ARENA_MAX`` = 1; a no-op where libc has no ``mallopt``). With an arena
-    per thread, how much freed activation memory each arena keeps depends on
-    the threads' timing, and peak RSS swung from run to run: 56.8 or 61.0 MB
-    for a K=3 ring at batch 16, where one thread reads 59.8 +- 0.1 MB."""
+    """Set glibc's malloc options (a no-op where libc has no ``mallopt``);
+    return whether libc took them all.
+
+    ``M_ARENA_MAX`` = 1, so every thread allocates from the main thread's
+    arena: with an arena per thread, how much freed activation memory each
+    arena keeps depends on the threads' timing, and peak RSS swung from run
+    to run (56.8 or 61.0 MB for a K=3 ring at batch 16, where one thread
+    reads 59.8 +- 0.1 MB).
+
+    ``M_MMAP_THRESHOLD`` = 32 MiB (the largest every 64-bit glibc takes,
+    above every array of a tiny-a or tiny-b step at batch 128) and
+    ``M_TRIM_THRESHOLD`` = 256 MiB, so the memory a step frees stays in the
+    heap for the next one. With glibc's defaults each large array was
+    mapped afresh and the heap's freed top went back to the OS: a dml tiny-a
+    pair's step at batch 128 faulted ~4,000 pages in again, against ~5 now.
+    Both or neither: a trim threshold alone also pins the mmap threshold at
+    128 KiB, and that step then faulted ~43,000 times. The heap keeps its
+    peak size."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
-    if mallopt is not None:
-        mallopt(-8, 1)  # M_ARENA_MAX; before the pool's threads first allocate
+    if mallopt is None:
+        return False
+    # M_ARENA_MAX, before the pool's threads first allocate
+    shared = mallopt(-8, 1) == 1
+    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD only if it was taken
+    kept = mallopt(-3, 32 << 20) == 1 and mallopt(-1, 256 << 20) == 1
+    return shared and kept
 
 
 _share_malloc_arena()

@@ -233,7 +233,11 @@ def test_train_refuses_non_finite_values_up_front(tmp_path, capsys, flag, value,
     (["--data-seed", "-1"], "data_seed must be >= 0, got -1"),
     (["--method", "l1"], "method 'l1' needs at least 2 networks"),
     (["--method", "l1_kd"], "method 'l1_kd' needs at least 2 networks"),
-], ids=["seed", "data_seed", "l1_one_net", "l1_kd_one_net"])
+    (["--momentum", "-1"], "momentum must be >= 0, got -1.0"),
+    (["--weight-decay-logit", "-1"], "weight_decay_logit must be >= 0, got -1.0"),
+    (["--weight-decay-adv", "-5"], "weight_decay_adv must be >= 0, got -5.0"),
+], ids=["seed", "data_seed", "l1_one_net", "l1_kd_one_net", "momentum", "weight_decay_logit",
+        "weight_decay_adv"])
 def test_train_refuses_bad_config_before_writing(tmp_path, capsys, flags, message):
     code = main(_tiny_train(tmp_path) + flags)
     err = capsys.readouterr().err

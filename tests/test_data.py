@@ -152,6 +152,19 @@ class TestSynthBlobs:
         ds = data.synth_blobs(5, 20, 12, 0.5, seed=1)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("num_classes", 0, "num_classes >= 1, got 0"),
+        ("per_class", 0, "per_class >= 1, got 0"),
+        ("image_size", -2, "image_size >= 1, got -2"),
+        ("seed", -1, "seed >= 0, got -1"),
+        ("noise_std", -0.5, "noise_std finite and >= 0, got -0.5"),
+    ])
+    def test_refusal_names_the_wrong_parameter(self, name, value, message):
+        args = dict(num_classes=3, per_class=4, image_size=8, noise_std=0.35, seed=0)
+        args[name] = value
+        with pytest.raises(ConfigError, match=f"^synth_blobs needs {re.escape(message)}$"):
+            data.synth_blobs(**args)
+
 
 class TestStandardize:
     def test_train_split_statistics(self):
