@@ -257,8 +257,9 @@ class RunConfig:
         for name in ("epochs", "seed", "data_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "disc_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr_logit", "lr_adv", "momentum", "weight_decay_logit", "weight_decay_adv"):
             value = getattr(self, name)
             if not value >= 0:

@@ -30,11 +30,15 @@ norm's per-channel element ops run along [B, C*H*W] rows. Each kernel keeps
 the plain formulas' element ops, reductions and GEMM operands, so the bytes
 stay the same.
 
-A recorded conv keeps its columns in the layout of the kernel-gradient
-GEMM's second operand, so no backward copies them. Its vjp puts the kernel
-gradient and the input gradient's slices of ``GRAD_X_SLICE`` images on one
-work queue (``_run_each``): a stack of items that every thread shares and
-runs newest first. numpy releases the GIL inside the GEMMs, each slice
+A recorded conv keeps what its columns were gathered from (the input, or
+its copy with one zero appended), not the columns, which a 3x3 kernel
+makes 9x larger. Its kernel gradient gathers its GEMM operand again on
+every backward, in the [B*L, C*kh*kw] layout ``np.tensordot`` would make,
+as gradient checkpointing recomputes an activation (Chen et al. 2016,
+arXiv 1604.06174). Its vjp puts the kernel gradient and the input
+gradient's slices of ``GRAD_X_SLICE`` images on one work queue
+(``_run_each``): a stack of items that every thread shares and runs
+newest first. numpy releases the GIL inside the GEMMs, each slice
 writes its own images of one gradient buffer, and every item does the same
 arithmetic on any thread, so the gradients keep their bytes. ``trainer``
 runs the peers' forward passes, its evaluation batches, phase A's per-net
@@ -480,27 +484,54 @@ GRAD_X_SLICE = 32
 @functools.lru_cache(maxsize=None)
 def _col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     """The flat C*H*W input index of each [C*kh*kw, L] column entry of one
-    image (C*H*W, one zero past the image, on the padding), read-only as
-    every conv of the shape shares it; and the output height and width."""
+    image (C*H*W, one zero past the image, on the padding); the same index
+    in [L, C*kh*kw] order, so one ``np.take`` gathers the transposed columns
+    contiguous; and the output height and width. The indices are read-only,
+    as every conv of the shape shares them."""
     oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
     row = np.arange(kh)[:, None, None, None] + stride * np.arange(oh)[:, None] - padding
     col = np.arange(kw)[:, None, None] + stride * np.arange(ow) - padding
     inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
     channel = h * w * np.arange(c)[:, None, None, None, None]
     index = np.where(inside, channel + row * w + col, c * h * w).reshape(-1).astype(np.intp)
-    index.flags.writeable = False
-    return index, oh, ow
+    by_row = np.ascontiguousarray(index.reshape(-1, oh * ow).T).reshape(-1)
+    index.flags.writeable = by_row.flags.writeable = False
+    return index, by_row, oh, ow
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """[B, C*kh*kw, L] columns of an NCHW array; a view for a 1x1 conv."""
-    b, c, h, w = x.shape
+def _im2col_source(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """What a conv's columns are gathered from: a 1x1 stride-1 conv's NCHW
+    input itself, else its [B, C*H*W + 1] images with one zero appended for
+    the padding."""
     if kh == kw == stride == 1 and not padding:
-        return x.reshape(b, c, h * w), h, w
-    index, oh, ow = _col_index(c, h, w, kh, kw, stride, padding)
-    src = np.concatenate((x.reshape(b, c * h * w), np.zeros((b, 1), dtype=x.dtype)), axis=1)
+        return x
+    return np.concatenate((x.reshape(len(x), -1), np.zeros((len(x), 1), dtype=x.dtype)), axis=1)
+
+
+def _im2col(src: np.ndarray, shape, kh: int, kw: int, stride: int, padding: int):
+    """[B, C*kh*kw, L] columns of an NCHW array of ``shape``, from its
+    ``_im2col_source`` (a view of a 1x1 conv's input); and the output height
+    and width."""
+    b, c, h, w = shape
+    if src.ndim == 4:
+        return src.reshape(b, c, h * w), h, w
+    index, _, oh, ow = _col_index(c, h, w, kh, kw, stride, padding)
     # every index is in range: "wrap" only skips the default's bounds check
     return np.take(src, index, axis=1, mode="wrap").reshape(b, c * kh * kw, oh * ow), oh, ow
+
+
+def _im2row(src: np.ndarray, shape, kh: int, kw: int, stride: int, padding: int):
+    """The [B*L, C*kh*kw] operand that ``np.tensordot(go, cols, axes=([0, 2],
+    [0, 2]))`` makes of the columns, from their ``_im2col_source``. At batch 1
+    it is tensordot's transposed view of the columns (a contiguous copy would
+    re-round the GEMM), and a 1x1 conv's is the transposed input; any other is
+    one C-contiguous ``np.take`` along the columns' index in row order."""
+    b, c, h, w = shape
+    if b == 1 or src.ndim == 4:
+        cols = _im2col(src, shape, kh, kw, stride, padding)[0]
+        return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+    by_row = _col_index(c, h, w, kh, kw, stride, padding)[1]
+    return np.take(src, by_row, axis=1, mode="wrap").reshape(-1, c * kh * kw)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
@@ -522,7 +553,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             f"conv2d: kernel {kh}x{kw} larger than padded input "
             f"{h + 2 * padding}x{w + 2 * padding}"
         )
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    src = _im2col_source(x.data, kh, kw, stride, padding)
+    cols, oh, ow = _im2col(src, x.data.shape, kh, kw, stride, padding)
     wmat = kernel.data.reshape(c_out, -1)
     # the bias goes on along [B, C_out*oh*ow] rows of the fresh product: a
     # broadcast's element adds, without its oh*ow-long inner loop
@@ -532,17 +564,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     parents = (x, kernel, bias)
     if not _records(parents):
         return Tensor(out)
-    # the second operand that np.tensordot(go, cols, axes=([0, 2], [0, 2]))
-    # would build on every backward, built once here; at batch 1 it is a
-    # view, as in tensordot, and a contiguous copy would re-round the GEMM
-    rows = cols.transpose(0, 2, 1).reshape(b * oh * ow, -1)
-    # a constant input (a data batch, a detached feature) costs no input
-    # gradient; a recorded conv's kernel and bias are parameters
-    need_x, dtype = x.requires_grad, x.data.dtype
+    # the graph keeps the columns' source, not the columns, and the kernel
+    # gradient gathers its operand from it on every backward; a constant
+    # input (a data batch, a detached feature) costs no input gradient, and
+    # a recorded conv's kernel and bias are parameters
+    need_x, dtype, shape = x.requires_grad, x.data.dtype, x.data.shape
     hp, wp = h + 2 * padding, w + 2 * padding
 
     def kernel_grad(go):
         # tensordot's own GEMM, on its own operands
+        rows = _im2row(src, shape, kh, kw, stride, padding)
         return np.dot(go.transpose(1, 0, 2).reshape(c_out, -1), rows).reshape(c_out, kc, kh, kw)
 
     def vjp(g):

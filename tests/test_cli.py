@@ -236,8 +236,16 @@ def test_train_refuses_non_finite_values_up_front(tmp_path, capsys, flag, value,
     (["--momentum", "-1"], "momentum must be >= 0, got -1.0"),
     (["--weight-decay-logit", "-1"], "weight_decay_logit must be >= 0, got -1.0"),
     (["--weight-decay-adv", "-5"], "weight_decay_adv must be >= 0, got -5.0"),
+    (["--disc-width", "0"], "disc_width must be >= 1, got 0"),
+    (["--method", "dml", "--archs", "tiny-a,tiny-a", "--disc-width", "0"],
+     "disc_width must be >= 1, got 0"),
+    (["--method", "afd", "--archs", "tiny-a,tiny-a", "--adversarial", "off",
+      "--disc-width", "-5"], "disc_width must be >= 1, got -5"),
+    (["--method", "afd", "--archs", "tiny-a,tiny-a", "--disc-width", "0"],
+     "disc_width must be >= 1, got 0"),
 ], ids=["seed", "data_seed", "l1_one_net", "l1_kd_one_net", "momentum", "weight_decay_logit",
-        "weight_decay_adv"])
+        "weight_decay_adv", "disc_width_vanilla", "disc_width_dml", "disc_width_afd_logit_only",
+        "disc_width_afd"])
 def test_train_refuses_bad_config_before_writing(tmp_path, capsys, flags, message):
     code = main(_tiny_train(tmp_path) + flags)
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -210,6 +211,18 @@ PACKAGE_CONVS = {
 }
 
 
+def reference_cols(x, kh, kw, stride, padding):
+    """[B, C*kh*kw, L] columns of a conv's input, from its strided windows;
+    and the padded input and the output height and width."""
+    b, c_in, h, w = x.shape
+    xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+    oh, ow = windows.shape[4:]
+    return windows.reshape(b, c_in * kh * kw, oh * ow), xp, oh, ow
+
+
 def conv_reference(x, kernel, bias, stride, padding, g):
     """Output and (input, kernel, bias) gradients of a conv, by formulas
     that ``conv2d`` must match byte for byte: the kernel gradient by
@@ -217,12 +230,7 @@ def conv_reference(x, kernel, bias, stride, padding, g):
     batched GEMM and one col2im over the whole batch."""
     b, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
-    xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
-    oh, ow = windows.shape[4:]
-    cols = windows.reshape(b, c_in * kh * kw, oh * ow)
+    cols, xp, oh, ow = reference_cols(x, kh, kw, stride, padding)
     wmat = kernel.reshape(c_out, -1)
     out = np.matmul(wmat, cols).reshape(b, c_out, oh, ow)
     out += bias[None, :, None, None]
@@ -331,6 +339,34 @@ class TestConv2dBytes:
         assert out._node is None
         want = conv_reference(x, kernel, bias, stride, k // 2, np.zeros(out.shape, np.float32))
         assert out.data.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 33, 128])
+    @pytest.mark.parametrize("conv", list(PACKAGE_CONVS))
+    def test_kernel_gradient_operand_is_tensordots(self, conv, batch, monkeypatch):
+        """The [B*L, K] operand that the vjp gathers for the kernel-gradient
+        GEMM has the bytes and the strides of tensordot's transpose of the
+        columns: the transposed view at batch 1, where a contiguous copy would
+        re-round the GEMM, and C-contiguous above."""
+        c_in, c_out, k, stride, size = PACKAGE_CONVS[conv]
+        x, kernel, bias = self._inputs(np.random.default_rng(batch), batch, c_in, c_out, k,
+                                       size, size)
+        gathered, im2row = [], T._im2row
+
+        def kept_im2row(*args):
+            gathered.append(im2row(*args))
+            return gathered[-1]
+
+        monkeypatch.setattr(T, "_im2row", kept_im2row)
+        out = T.conv2d(Tensor(x), Tensor(kernel, requires_grad=True),
+                       Tensor(bias, requires_grad=True), stride=stride, padding=k // 2)
+        assert not gathered
+        out._node.vjp(np.ones(out.shape, dtype=np.float32))
+        cols = reference_cols(x, k, k, stride, k // 2)[0]
+        want = cols.transpose(0, 2, 1).reshape(batch * cols.shape[2], -1)
+        [got] = gathered
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        assert batch == 1 or got.flags.c_contiguous
 
     @pytest.mark.parametrize("need_x", [True, False], ids=["input_grad", "no_input_grad"])
     @pytest.mark.parametrize("batch", [1, 33])
@@ -773,6 +809,27 @@ class TestGraphMemory:
         _, alive, grads = self._first_conv_output(monkeypatch, hold=False)
         assert isinstance(held, np.ndarray) and not alive
         assert grads == held_grads
+
+    def test_a_recorded_forward_keeps_each_conv_input_not_its_columns(self):
+        """The graph of a tiny-a/tiny-b pair's recorded forward at batch 128
+        holds each conv's input (or its copy with one zero appended), not the
+        [B*L, C*kh*kw] columns, 9x larger for a 3x3 conv: tracemalloc reads
+        21.0 MB live after the forward, against 48.3 MB when each recorded
+        conv kept its columns."""
+        nets = [build_network(arch, 6, i) for i, arch in enumerate(["tiny-a", "tiny-b"])]
+        x = Tensor(np.random.default_rng(0).standard_normal((128, 1, 16, 16)).astype(np.float32))
+        with no_grad():
+            for net in nets:
+                net.forward(x)  # the cached column indices are not the graph's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outs = [net.forward(x) for net in nets]
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(logits.requires_grad for _, logits in outs)
+        assert live < 32e6
 
     @pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),
                         reason="libc has no mallopt")
