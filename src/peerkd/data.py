@@ -307,17 +307,20 @@ def _coerce_field(name: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; ``#`` starts a comment."""
+    """Flat ``key = value`` lines of UTF-8 text; ``#`` starts a comment."""
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = raw
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                key, raw = line.split("=", 1)
+                values[key.strip()] = raw
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
     return values
 
 

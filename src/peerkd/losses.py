@@ -111,9 +111,8 @@ def lsgan_d_loss(d_peer: Tensor, d_own: Tensor) -> Tensor:
         raise ShapeError(f"score shapes differ: {d_peer.shape} vs {d_own.shape}")
     _check_unit_range("d_peer", d_peer)
     _check_unit_range("d_own", d_own)
-    peer_term = (1.0 - d_peer) * (1.0 - d_peer)
-    own_term = d_own * d_own
-    return T.mean_all(peer_term + own_term)
+    diff = 1.0 - d_peer
+    return T.mean_all(diff * diff + d_own * d_own)
 
 
 def lsgan_g_loss(d_own: Tensor) -> Tensor:

@@ -30,15 +30,14 @@ norm's per-channel element ops run along [B, C*H*W] rows. Each kernel keeps
 the plain formulas' element ops, reductions and GEMM operands, so the bytes
 stay the same.
 
-A recorded conv keeps what its columns were gathered from (the input, or
-its copy with one zero appended), not the columns, which a 3x3 kernel
-makes 9x larger. Its kernel gradient gathers its GEMM operand again on
-every backward, in the [B*L, C*kh*kw] layout ``np.tensordot`` would make,
-as gradient checkpointing recomputes an activation (Chen et al. 2016,
-arXiv 1604.06174). Its vjp puts the kernel gradient and the input
-gradient's slices of ``GRAD_X_SLICE`` images on one work queue
-(``_run_each``): a stack of items that every thread shares and runs
-newest first. numpy releases the GIL inside the GEMMs, each slice
+A recorded conv keeps its input with one zero appended, not the columns,
+which a 3x3 kernel makes 9x larger. Its kernel gradient gathers its GEMM
+operand again on every backward, in the [B*L, C*kh*kw] layout
+``np.tensordot`` would make, as gradient checkpointing recomputes an
+activation (Chen et al. 2016, arXiv 1604.06174). Its vjp puts the kernel
+gradient and the input gradient's slices of ``GRAD_X_SLICE`` images on one
+work queue (``_run_each``): a stack of items that every thread shares and
+runs newest first. numpy releases the GIL inside the GEMMs, each slice
 writes its own images of one gradient buffer, and every item does the same
 arithmetic on any thread, so the gradients keep their bytes. ``trainer``
 runs the peers' forward passes, its evaluation batches, phase A's per-net
@@ -98,6 +97,8 @@ def _work(call=None):
                 return
             job, i = _tasks.pop()
         job.run(i)
+        # a waiting pool thread must not keep the call's items and results
+        del job
 
 
 def _reset_pool():
@@ -499,22 +500,11 @@ def _col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: i
     return index, by_row, oh, ow
 
 
-def _im2col_source(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """What a conv's columns are gathered from: a 1x1 stride-1 conv's NCHW
-    input itself, else its [B, C*H*W + 1] images with one zero appended for
-    the padding."""
-    if kh == kw == stride == 1 and not padding:
-        return x
-    return np.concatenate((x.reshape(len(x), -1), np.zeros((len(x), 1), dtype=x.dtype)), axis=1)
-
-
 def _im2col(src: np.ndarray, shape, kh: int, kw: int, stride: int, padding: int):
-    """[B, C*kh*kw, L] columns of an NCHW array of ``shape``, from its
-    ``_im2col_source`` (a view of a 1x1 conv's input); and the output height
-    and width."""
+    """[B, C*kh*kw, L] columns of an NCHW array of ``shape``, gathered from
+    its [B, C*H*W + 1] images with one zero appended for the padding; and the
+    output height and width."""
     b, c, h, w = shape
-    if src.ndim == 4:
-        return src.reshape(b, c, h * w), h, w
     index, _, oh, ow = _col_index(c, h, w, kh, kw, stride, padding)
     # every index is in range: "wrap" only skips the default's bounds check
     return np.take(src, index, axis=1, mode="wrap").reshape(b, c * kh * kw, oh * ow), oh, ow
@@ -522,12 +512,12 @@ def _im2col(src: np.ndarray, shape, kh: int, kw: int, stride: int, padding: int)
 
 def _im2row(src: np.ndarray, shape, kh: int, kw: int, stride: int, padding: int):
     """The [B*L, C*kh*kw] operand that ``np.tensordot(go, cols, axes=([0, 2],
-    [0, 2]))`` makes of the columns, from their ``_im2col_source``. At batch 1
-    it is tensordot's transposed view of the columns (a contiguous copy would
-    re-round the GEMM), and a 1x1 conv's is the transposed input; any other is
-    one C-contiguous ``np.take`` along the columns' index in row order."""
+    [0, 2]))`` makes of the columns, from the images they are gathered from.
+    At batch 1 it is tensordot's transposed view of the columns (a contiguous
+    copy would re-round the GEMM); above, one C-contiguous ``np.take`` along
+    the columns' index in row order."""
     b, c, h, w = shape
-    if b == 1 or src.ndim == 4:
+    if b == 1:
         cols = _im2col(src, shape, kh, kw, stride, padding)[0]
         return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
     by_row = _col_index(c, h, w, kh, kw, stride, padding)[1]
@@ -553,7 +543,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             f"conv2d: kernel {kh}x{kw} larger than padded input "
             f"{h + 2 * padding}x{w + 2 * padding}"
         )
-    src = _im2col_source(x.data, kh, kw, stride, padding)
+    src = np.concatenate((x.data.reshape(b, -1), np.zeros((b, 1), dtype=x.data.dtype)), axis=1)
     cols, oh, ow = _im2col(src, x.data.shape, kh, kw, stride, padding)
     wmat = kernel.data.reshape(c_out, -1)
     # the bias goes on along [B, C_out*oh*ow] rows of the fresh product: a
@@ -564,7 +554,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     parents = (x, kernel, bias)
     if not _records(parents):
         return Tensor(out)
-    # the graph keeps the columns' source, not the columns, and the kernel
+    # the graph keeps the padded input, not the columns, and the kernel
     # gradient gathers its operand from it on every backward; a constant
     # input (a data batch, a detached feature) costs no input gradient, and
     # a recorded conv's kernel and bias are parameters
@@ -692,28 +682,23 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
     """Non-overlapping k x k average pooling; spatial dims must divide by k.
 
-    The window sum adds the strided slices ``x[:, :, i::k, j::k]`` along each
-    window row, then adds the rows, each sum starting from +0.0 in its own
-    buffer: the order and the start of numpy's mean over the reshaped
-    windows, so the result has its bits, and the +0.0 start turns an all
-    -0.0 window (a ReLU of negatives) into +0.0, as numpy does. Two cases
-    differ in the last bit: k >= 8, where numpy sums a window row pairwise,
-    and an output width of 1, where numpy sums each window as one run.
+    The window sum is Python's ``sum`` of the strided slices
+    ``x[:, :, i::k, j::k]`` along each window row, then of the rows, each sum
+    starting from +0.0: the order and the start of numpy's mean over the
+    reshaped windows, so the result has its bits, and the +0.0 start turns
+    an all -0.0 window (a ReLU of negatives) into +0.0, as numpy does. Two
+    cases differ in the last bit: k >= 8, where numpy sums a window row
+    pairwise, and an output width of 1, where numpy sums each window as one
+    run.
     """
     if x.data.ndim != 4:
         raise ShapeError("avg_pool2d expects NCHW input")
     if k < 1:
         raise ConfigError(f"avg_pool2d: pool size must be >= 1, got {k}")
-    b, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    windows = x.data.reshape(b, c, h // k, k, w // k, k)
-    out, row = np.zeros((b, c, h // k, w // k), dtype=x.data.dtype), None
-    for i in range(k):
-        row = np.add(windows[:, :, :, i, :, 0], 0, out=row)
-        for j in range(1, k):
-            row += windows[:, :, :, i, :, j]
-        out += row
+    out = sum(sum(x.data[:, :, i::k, j::k] for j in range(k)) for i in range(k))
     out /= k * k
 
     def vjp(g):

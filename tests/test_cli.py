@@ -310,19 +310,22 @@ def test_missing_file_is_an_error_not_a_traceback(tmp_path, capsys, command, fla
     assert err.startswith("error:") and str(missing) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,content", [
-    ("eval", one_entry_afdk(b"net0/\xff", (1,))),
-    ("eval", one_entry_afdk(b"x", (0x10000,) * 4)),
-    ("train", struct.pack(">IIII", 0x00000803, *(0xFFFFFFFF,) * 3)),
-], ids=["non_utf8_entry_name", "dims_past_int64", "idx_header_past_any_file_size"])
-def test_malformed_file_is_an_error_not_a_traceback(tmp_path, capsys, command, content):
+IDX_FLAGS = ("--train-images", "--train-labels", "--test-images", "--test-labels")
+
+
+@pytest.mark.parametrize("command,flags,content", [
+    ("eval", ("--checkpoint",), one_entry_afdk(b"net0/\xff", (1,))),
+    ("eval", ("--checkpoint",), one_entry_afdk(b"x", (0x10000,) * 4)),
+    ("train", IDX_FLAGS, struct.pack(">IIII", 0x00000803, *(0xFFFFFFFF,) * 3)),
+    ("train", ("--config",), b"method = vanilla\n\xff\n"),
+    ("eval", ("--config", "--checkpoint"), b"method = vanilla\n\xff\n"),
+], ids=["non_utf8_entry_name", "dims_past_int64", "idx_header_past_any_file_size",
+        "non_utf8_config", "non_utf8_config_eval"])
+def test_malformed_file_is_an_error_not_a_traceback(tmp_path, capsys, command, flags, content):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(content)
-    if command == "train":
-        files = ["--data-source", "idx", "--train-images", str(bad), "--train-labels", str(bad),
-                 "--test-images", str(bad), "--test-labels", str(bad)]
-    else:
-        files = ["--checkpoint", str(bad)]
+    files = ["--data-source", "idx"] if flags == IDX_FLAGS else []
+    files += [arg for flag in flags for arg in (flag, str(bad))]
     code = main([command] + _tiny_train(tmp_path)[1:] + files)
     err = capsys.readouterr().err
     assert code == 2

@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import ctypes
+import gc
 import os
 import subprocess
 import sys
@@ -951,6 +952,25 @@ class TestRunEach:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_thread_keeps_a_finished_calls_items(self):
+        """The caller and a pool thread each run one item (neither returns
+        before both have started); once the call has returned, no thread
+        keeps either item alive."""
+        class Item:
+            pass
+
+        both = threading.Barrier(2)
+        items = [Item(), Item()]
+        refs = [weakref.ref(item) for item in items]
+        T._run_each(lambda item: both.wait(30), items)
+        del items
+        # the pool thread may still be returning from its item's last line
+        deadline = time.monotonic() + 5
+        while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert all(ref() is None for ref in refs)
 
     def test_a_call_nested_in_an_item_on_a_pool_thread_finishes(self):
         """Item 1 runs on a pool thread (the caller holds item 0 until it has
